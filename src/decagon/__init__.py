@@ -23,7 +23,6 @@ from .elements import (
     all_functions,
     atoms,
     compose,
-    fn_equal,
     fn_table,
     identity,
     subset,
@@ -53,7 +52,6 @@ from .monads import (
     MonadExtensive,
     MonadMonoidal,
     Monoid,
-    TestUniverse,
     builtin_monads,
     check_category,
     check_comonad,
@@ -64,12 +62,10 @@ from .monads import (
     monad_from_config,
     monoidal_to_extensive,
 )
-from .report import AxiomVerdict, LawReport, Witness
+from .report import AxiomVerdict, LawReport, TestUniverse, Witness
 from .distlaw import (
     DistLaw,
     DistLawAlgebra,
-    DistLawDecagon,
-    DistLawMonoidal,
     DistLawNoIteration,
     MixedLaw,
     algebra_to_monoidal,

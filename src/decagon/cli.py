@@ -34,7 +34,6 @@ from .distlaw import (
 )
 from .monads import (
     ComonadMonoidal,
-    TestUniverse,
     builtin_monads,
     check_comonad,
     check_monad_extensive,
@@ -42,7 +41,7 @@ from .monads import (
     monad_from_config,
     monoidal_to_extensive,
 )
-from .report import LawReport
+from .report import LawReport, TestUniverse
 from .search import BudgetExceeded, SearchSpec, candidate_matches, enumerate_candidates
 
 
@@ -59,16 +58,18 @@ def _load_registry(path: str | None):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read registry {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"registry {path} must hold a JSON object")
         for i, cfg in enumerate(data.get("monads", [])):
             try:
                 m = monad_from_config(cfg)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (AttributeError, KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"registry monads[{i}]: {exc}") from exc
             monads[cfg.get("alias", m.name)] = m
         for i, cfg in enumerate(data.get("laws", [])):
             try:
                 law = law_from_config(cfg)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (AttributeError, KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"registry laws[{i}]: {exc}") from exc
             laws[law.name] = law
     return monads, laws

@@ -24,8 +24,8 @@ from .elements import (
     Inl,
     Pair,
     Subset,
+    all_functions,
     compose,
-    element_repr,
     identity,
     subset,
 )
@@ -35,18 +35,17 @@ from .monads import (
     ConstructionRefused,
     MonadExtensive,
     MonadMonoidal,
-    TestUniverse,
-    _eval_sides,
     builtin_monads,
     kleisli,
     monad_from_config,
     monoidal_to_extensive,
 )
-from .report import AxiomVerdict, LawReport, Witness
+from .pasting.builtin import builtin_signature, mixed_signature
+from .pasting.evaluate import Interpretation, check_cells, law_interpretation
+from .report import LawReport, TestUniverse, compare
 from .transforms import (
     ComponentUnavailable,
     NatTrans,
-    Step,
     formula,
     tabulated,
 )
@@ -70,10 +69,6 @@ class DistLaw:
             raise ValueError(
                 f"lambda boundaries {self.lam.src!r} -> {self.lam.tgt!r} do not match TP -> PT"
             )
-
-
-DistLawMonoidal = DistLaw
-DistLawDecagon = DistLaw
 
 
 @dataclass
@@ -115,113 +110,38 @@ class MixedLaw:
 
 # ---------------------------------------------------------------------------
 # checkers for the lambda forms
+#
+# Each table maps the axiom names a checker reports to the cells of a
+# shipped signature that state them; the checker evaluates those cells
+# under an interpretation of the law.
+
+BECK_CELLS = {"unit-u-triangle": "omega1", "unit-eta-triangle": "omega2",
+              "m-pentagon": "omega3", "mu-pentagon": "omega4"}
+DECAGON_CELLS = {"unit-u-triangle": "omega1", "unit-eta-triangle": "omega2", "decagon": "Omega"}
+ALGEBRA_CELLS = {"unit-triangle": "psi1", "eta-square": "psi2", "hexagon": "Psi"}
+FIVE_AXIOM_CELLS = {"algebra-unit": "psi1", "algebra-mult": "algebra-mult", "m-square": "H",
+                    "eta-square": "psi2", "mu-diagram": "mu-diagram"}
+MIXED_DECAGON_CELLS = {a: a for a in ("epsilon-triangle", "eta-triangle", "mixed-decagon")}
+MIXED_CLASSIC_CELLS = {a: a for a in ("epsilon-triangle", "eta-triangle", "delta-pentagon",
+                                      "mu-pentagon")}
 
 
 def check_beck(D: DistLaw, universe: TestUniverse) -> LawReport:
     """Two unit triangles and two pentagons."""
-    T, P = D.T.functor, D.P.functor
-    u, m = D.T.unit, D.T.mult
-    eta, mu = D.P.unit, D.P.mult
-    lam = D.lam
-    I = Id()
-    report = LawReport(f"beck:{D.name}", universe.describe())
-    _eval_sides(
-        report, "unit-u-triangle", universe,
-        [Step(I, u, P), Step(I, lam, I)],
-        [Step(P, u, I)],
-        P,
-    )
-    _eval_sides(
-        report, "unit-eta-triangle", universe,
-        [Step(T, eta, I), Step(I, lam, I)],
-        [Step(I, eta, T)],
-        T,
-    )
-    _eval_sides(
-        report, "m-pentagon", universe,
-        [Step(I, m, P), Step(I, lam, I)],
-        [Step(T, lam, I), Step(I, lam, T), Step(P, m, I)],
-        compose_functors(T, T, P),
-    )
-    _eval_sides(
-        report, "mu-pentagon", universe,
-        [Step(T, mu, I), Step(I, lam, I)],
-        [Step(I, lam, P), Step(P, lam, I), Step(I, mu, T)],
-        compose_functors(T, P, P),
-    )
-    return report
+    return check_cells(f"beck:{D.name}", BECK_CELLS, law_interpretation(D), universe,
+                       builtin_signature())
 
 
 def check_decagon(D: DistLaw, universe: TestUniverse) -> LawReport:
     """Two unit triangles and the single decagon on TPTPT."""
-    T, P = D.T.functor, D.P.functor
-    u, m = D.T.unit, D.T.mult
-    eta, mu = D.P.unit, D.P.mult
-    lam = D.lam
-    I = Id()
-    TP = compose_functors(T, P)
-    report = LawReport(f"decagon:{D.name}", universe.describe())
-    _eval_sides(
-        report, "unit-u-triangle", universe,
-        [Step(I, u, P), Step(I, lam, I)],
-        [Step(P, u, I)],
-        P,
-    )
-    _eval_sides(
-        report, "unit-eta-triangle", universe,
-        [Step(T, eta, I), Step(I, lam, I)],
-        [Step(I, eta, T)],
-        T,
-    )
-    _eval_sides(
-        report, "decagon", universe,
-        [
-            Step(TP, lam, T),
-            Step(compose_functors(T, P, P), m, I),
-            Step(T, mu, T),
-            Step(I, lam, T),
-            Step(P, m, I),
-        ],
-        [
-            Step(I, lam, compose_functors(T, P, T)),
-            Step(P, m, compose_functors(P, T)),
-            Step(P, lam, T),
-            Step(compose_functors(P, P), m, I),
-            Step(I, mu, T),
-        ],
-        compose_functors(T, P, T, P, T),
-    )
-    return report
+    return check_cells(f"decagon:{D.name}", DECAGON_CELLS, law_interpretation(D), universe,
+                       builtin_signature())
 
 
 def check_algebra(D: DistLawAlgebra, universe: TestUniverse) -> LawReport:
     """Unit triangle, eta square and the hexagon on TPTPT."""
-    T, P = D.T.functor, D.P.functor
-    u, m = D.T.unit, D.T.mult
-    eta, mu = D.P.unit, D.P.mult
-    alpha = D.alpha
-    I = Id()
-    PT = compose_functors(P, T)
-    report = LawReport(f"algebra:{D.name}", universe.describe())
-    _eval_sides(
-        report, "unit-triangle", universe,
-        [Step(I, u, PT), Step(I, alpha, I)],
-        None,
-        PT,
-    )
-    _eval_sides(
-        report, "eta-square", universe,
-        [Step(T, eta, T), Step(I, alpha, I)],
-        [Step(I, m, I), Step(I, eta, T)],
-        compose_functors(T, T),
-    )
-    _eval_sides(
-        report, "hexagon", universe,
-        [Step(compose_functors(T, P), alpha, I), Step(T, mu, T), Step(I, alpha, I)],
-        [Step(I, alpha, PT), Step(P, alpha, I), Step(I, mu, T)],
-        compose_functors(T, P, T, P, T),
-    )
-    return report
+    return check_cells(f"algebra:{D.name}", ALGEBRA_CELLS, law_interpretation(D), universe,
+                       builtin_signature())
 
 
 def check_five_axiom(
@@ -229,44 +149,10 @@ def check_five_axiom(
     name: str = "",
 ) -> LawReport:
     """T-algebra structure plus three squares on alpha: TPT -> PT."""
-    TF, PF = T.functor, P.functor
-    u, m = T.unit, T.mult
-    eta, mu = P.unit, P.mult
-    I = Id()
-    PT = compose_functors(PF, TF)
-    report = LawReport(f"five-axiom:{name or 'alpha'}", universe.describe())
-    _eval_sides(
-        report, "algebra-unit", universe,
-        [Step(I, u, PT), Step(I, alpha, I)],
-        None,
-        PT,
-    )
-    _eval_sides(
-        report, "algebra-mult", universe,
-        [Step(TF, alpha, I), Step(I, alpha, I)],
-        [Step(I, m, PT), Step(I, alpha, I)],
-        compose_functors(TF, TF, PF, TF),
-    )
-    _eval_sides(
-        report, "m-square", universe,
-        [Step(compose_functors(TF, PF), m, I), Step(I, alpha, I)],
-        [Step(I, alpha, TF), Step(PF, m, I)],
-        compose_functors(TF, PF, TF, TF),
-    )
-    _eval_sides(
-        report, "eta-square", universe,
-        [Step(TF, eta, TF), Step(I, alpha, I)],
-        [Step(I, m, I), Step(I, eta, TF)],
-        compose_functors(TF, TF),
-    )
-    _eval_sides(
-        report, "mu-diagram", universe,
-        [Step(compose_functors(TF, PF), u, compose_functors(PF, TF)), Step(I, alpha, PT),
-         Step(PF, alpha, I), Step(I, mu, TF)],
-        [Step(TF, mu, TF), Step(I, alpha, I)],
-        compose_functors(TF, PF, PF, TF),
-    )
-    return report
+    name = name or "alpha"
+    return check_cells(f"five-axiom:{name}", FIVE_AXIOM_CELLS,
+                       law_interpretation(DistLawAlgebra(name, T, P, alpha)), universe,
+                       builtin_signature())
 
 
 def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
@@ -274,146 +160,65 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
     T = D.T
     P = D.P
     TF = T.functor
-    report = LawReport(f"noiter:{D.name}", universe.describe())
-
-    def pt(Y: FinSet) -> FinSet:
-        return P.obj(apply_obj(TF, Y))
-
-    def eta_at(W: FinSet) -> FinFn:
-        return P.unit_at(W)
 
     def homs(X: FinSet, Y: FinSet) -> list[FinFn]:
-        from .elements import all_functions
-
-        return all_functions(X, pt(Y))
-
-    def record(axiom: str, instances) -> None:
-        checked, witness = 0, None
-        for descr, lhs, rhs in instances:
-            checked += 1
-            if witness is None and lhs != rhs:
-                for x in lhs.dom.elements:
-                    if lhs(x) != rhs(x):
-                        witness = Witness(descr, element_repr(x),
-                                          element_repr(lhs(x)), element_repr(rhs(x)))
-                        break
-        report.verdicts.append(
-            AxiomVerdict(axiom, passed=witness is None and checked > 0,
-                         checked=checked, witness=witness)
-        )
+        return all_functions(X, P.obj(apply_obj(TF, Y)))
 
     def ax_unit():
         for X in universe.objects:
             uX = T.unit.component(X)
             for Y in universe.objects:
                 for f in homs(X, Y):
-                    yield (f"f:{len(X)}->{len(Y)}", compose(D.op(f), uX), f)
+                    yield f"f:{len(X)}->{len(Y)}", (compose(D.op(f), uX), f)
 
     def ax_eta():
         for X in universe.objects:
             TX = apply_obj(TF, X)
-            etaTX = eta_at(TX)
+            etaTX = P.unit_at(TX)
             mX = T.mult.component(X)
-            yield (f"|X|={len(X)}", D.op(etaTX), compose(etaTX, mX))
+            yield f"|X|={len(X)}", (D.op(etaTX), compose(etaTX, mX))
 
     def ax_comp():
         for X in universe.objects:
             for Y in universe.objects:
                 fs = [(f, D.op(f)) for f in homs(X, Y)]
                 for Z in universe.objects:
+                    at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
                     for g in homs(Y, Z):
                         og_p = P.ext(D.op(g))
                         for f, op_f in fs:
-                            yield (
-                                f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}",
-                                compose(og_p, op_f),
-                                D.op(compose(og_p, f)),
-                            )
+                            yield at, (compose(og_p, op_f), D.op(compose(og_p, f)))
 
-    record("op-unit", ax_unit())
-    record("op-eta", ax_eta())
-    record("op-composition", ax_comp())
-    return report
+    return LawReport(f"noiter:{D.name}", universe.describe(), [
+        compare("op-unit", ax_unit()),
+        compare("op-eta", ax_eta()),
+        compare("op-composition", ax_comp()),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # mixed distributive laws
 
 
+def _mixed_interpretation(Mx: MixedLaw) -> Interpretation:
+    return Interpretation(
+        Mx.name,
+        {"L": Mx.L.functor, "R": Mx.R.functor},
+        {"epsilon": Mx.L.counit, "delta": Mx.L.comult, "eta": Mx.R.unit, "mu": Mx.R.mult,
+         "lambda": Mx.lam},
+    )
+
+
 def check_mixed_decagon(Mx: MixedLaw, universe: TestUniverse) -> LawReport:
     """Two triangles plus a ten-sided condition from LR^2 to RL^2."""
-    L, R = Mx.L.functor, Mx.R.functor
-    eps, delta = Mx.L.counit, Mx.L.comult
-    eta, mu = Mx.R.unit, Mx.R.mult
-    lam = Mx.lam
-    I = Id()
-    report = LawReport(f"mixed-decagon:{Mx.name}", universe.describe())
-    _eval_sides(
-        report, "epsilon-triangle", universe,
-        [Step(I, lam, I), Step(R, eps, I)],
-        [Step(I, eps, R)],
-        compose_functors(L, R),
-    )
-    _eval_sides(
-        report, "eta-triangle", universe,
-        [Step(L, eta, I), Step(I, lam, I)],
-        [Step(I, eta, L)],
-        L,
-    )
-    _eval_sides(
-        report, "mixed-decagon", universe,
-        [
-            Step(I, lam, R),
-            Step(R, delta, R),
-            Step(compose_functors(R, L), lam, I),
-            Step(R, lam, L),
-            Step(I, mu, compose_functors(L, L)),
-        ],
-        [
-            Step(I, delta, compose_functors(R, R)),
-            Step(L, lam, R),
-            Step(compose_functors(L, R), lam, I),
-            Step(L, mu, L),
-            Step(I, lam, L),
-        ],
-        compose_functors(L, R, R),
-    )
-    return report
+    return check_cells(f"mixed-decagon:{Mx.name}", MIXED_DECAGON_CELLS,
+                       _mixed_interpretation(Mx), universe, mixed_signature())
 
 
 def check_mixed_classic(Mx: MixedLaw, universe: TestUniverse) -> LawReport:
     """The classical four axioms for a comonad distributing over a monad."""
-    L, R = Mx.L.functor, Mx.R.functor
-    eps, delta = Mx.L.counit, Mx.L.comult
-    eta, mu = Mx.R.unit, Mx.R.mult
-    lam = Mx.lam
-    I = Id()
-    report = LawReport(f"mixed-classic:{Mx.name}", universe.describe())
-    _eval_sides(
-        report, "epsilon-triangle", universe,
-        [Step(I, lam, I), Step(R, eps, I)],
-        [Step(I, eps, R)],
-        compose_functors(L, R),
-    )
-    _eval_sides(
-        report, "eta-triangle", universe,
-        [Step(L, eta, I), Step(I, lam, I)],
-        [Step(I, eta, L)],
-        L,
-    )
-    _eval_sides(
-        report, "delta-pentagon", universe,
-        [Step(I, lam, I), Step(R, delta, I)],
-        [Step(I, delta, R), Step(L, lam, I), Step(I, lam, L)],
-        compose_functors(L, R),
-    )
-    _eval_sides(
-        report, "mu-pentagon", universe,
-        [Step(L, mu, I), Step(I, lam, I)],
-        [Step(I, lam, R), Step(R, lam, I), Step(I, mu, L)],
-        compose_functors(L, R, R),
-    )
-    return report
+    return check_cells(f"mixed-classic:{Mx.name}", MIXED_CLASSIC_CELLS,
+                       _mixed_interpretation(Mx), universe, mixed_signature())
 
 
 # ---------------------------------------------------------------------------
@@ -580,82 +385,50 @@ def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
 # built-in laws
 
 
-def exception_over_powerset() -> DistLaw:
+def _exception_dist(e: Element) -> Element:
     """lambda(inl S) = image of S under inl; lambda(inr e) = {inr e}."""
+    if type(e) is Inl:
+        return subset(Inl(x) for x in e.value.members)
+    return Subset((e,))
+
+
+def _strength(e: Element) -> Element:
+    """(m, S) goes to the set of pairs (m, x) for x in S."""
+    return subset(Pair(e.fst, x) for x in e.snd.members)
+
+
+def _component(fn: Callable[[Element], Element], name: str):
+    """Builder of the formula family fn: TP -> PT for a given monad pair."""
+    return lambda T, P: formula(compose_functors(T.functor, P.functor),
+                                compose_functors(P.functor, T.functor), fn, name=name)
+
+
+_BUILTIN_COMPONENTS = {
+    "exception-dist": _component(_exception_dist, "exception-dist"),
+    "writer-strength": _component(_strength, "writer-strength"),
+    "coreader-strength": _component(_strength, "coreader-strength"),
+}
+
+
+def _builtin_law(kind, name: str, outer: str, inner: str, component: str):
     monads = builtin_monads()
-    T = monads["exception"]
-    P = monads["powerset"]
+    T, P = monads[outer], monads[inner]
+    return kind(name, T, P, _BUILTIN_COMPONENTS[component](T, P))
 
-    def lam_fn(e: Element) -> Element:
-        if type(e) is Inl:
-            return subset(Inl(x) for x in e.value.members)
-        return Subset((e,))
 
-    lam = formula(
-        compose_functors(T.functor, P.functor),
-        compose_functors(P.functor, T.functor),
-        lam_fn,
-        name="exception-dist",
-    )
-    return DistLaw("exception-over-powerset", T, P, lam)
+def exception_over_powerset() -> DistLaw:
+    return _builtin_law(DistLaw, "exception-over-powerset", "exception", "powerset",
+                        "exception-dist")
 
 
 def writer_over_powerset() -> DistLaw:
-    """Strength law: (m, S) goes to the set of pairs (m, x) for x in S."""
-    monads = builtin_monads()
-    T = monads["writer"]
-    P = monads["powerset"]
-
-    def lam_fn(e: Element) -> Element:
-        return subset(Pair(e.fst, x) for x in e.snd.members)
-
-    lam = formula(
-        compose_functors(T.functor, P.functor),
-        compose_functors(P.functor, T.functor),
-        lam_fn,
-        name="writer-strength",
-    )
-    return DistLaw("writer-over-powerset", T, P, lam)
+    return _builtin_law(DistLaw, "writer-over-powerset", "writer", "powerset", "writer-strength")
 
 
 def coreader_over_powerset() -> MixedLaw:
     """Mixed strength law: (a, S) goes to {(a, x) for x in S}."""
-    monads = builtin_monads()
-    L = monads["coreader"]
-    R = monads["powerset"]
-
-    def lam_fn(e: Element) -> Element:
-        return subset(Pair(e.fst, x) for x in e.snd.members)
-
-    lam = formula(
-        compose_functors(L.functor, R.functor),
-        compose_functors(R.functor, L.functor),
-        lam_fn,
-        name="coreader-strength",
-    )
-    return MixedLaw("coreader-over-powerset", L, R, lam)
-
-
-_BUILTIN_COMPONENTS = {
-    "exception-dist": lambda T, P: formula(
-        compose_functors(T.functor, P.functor),
-        compose_functors(P.functor, T.functor),
-        lambda e: subset(Inl(x) for x in e.value.members) if type(e) is Inl else Subset((e,)),
-        name="exception-dist",
-    ),
-    "writer-strength": lambda T, P: formula(
-        compose_functors(T.functor, P.functor),
-        compose_functors(P.functor, T.functor),
-        lambda e: subset(Pair(e.fst, x) for x in e.snd.members),
-        name="writer-strength",
-    ),
-    "coreader-strength": lambda L, R: formula(
-        compose_functors(L.functor, R.functor),
-        compose_functors(R.functor, L.functor),
-        lambda e: subset(Pair(e.fst, x) for x in e.snd.members),
-        name="coreader-strength",
-    ),
-}
+    return _builtin_law(MixedLaw, "coreader-over-powerset", "coreader", "powerset",
+                        "coreader-strength")
 
 
 def _validate_component(lam: NatTrans, name: str) -> None:

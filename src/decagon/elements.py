@@ -313,10 +313,6 @@ def compose(g: FinFn, f: FinFn) -> FinFn:
     return FinFn._raw(f.dom, g.cod, {x: gm[fm[x]] for x in f.dom.elements})
 
 
-def fn_equal(f: FinFn, g: FinFn) -> bool:
-    return f == g
-
-
 def iter_functions(X: FinSet, Y: FinSet) -> Iterator[FinFn]:
     """All total functions X -> Y in deterministic order; |Y|^|X| of them."""
     xs = X.elements

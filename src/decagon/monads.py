@@ -13,9 +13,9 @@ grammar stays closed under iteration.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import product
+from typing import Callable, Iterable, Optional
 
 from .elements import (
     Atom,
@@ -29,9 +29,7 @@ from .elements import (
     all_functions,
     atoms,
     compose,
-    element_repr,
     identity,
-    iter_functions,
     subset,
 )
 from .functors import (
@@ -46,59 +44,10 @@ from .functors import (
     apply_obj,
     compose_functors,
 )
-from .report import AxiomVerdict, LawReport, Witness
-from .transforms import (
-    ComponentUnavailable,
-    NatTrans,
-    OversizeCarrier,
-    Step,
-    composite_map,
-    formula,
-    identity_map,
-)
-
-DEFAULT_CARRIER_CAP = 200_000
-
-
-@dataclass
-class TestUniverse:
-    """Objects and morphism policy over which all exhaustive checks run."""
-
-    __test__ = False  # not a pytest class
-
-    objects: list[FinSet]
-    morphism_policy: str = "all"  # "all" | "sample"
-    seed: Optional[int] = None
-    sample_size: int = 20
-    depth_bound: int = 7
-    carrier_cap: int = DEFAULT_CARRIER_CAP
-
-    @staticmethod
-    def sizes(max_size: int = 2, policy: str = "all", seed: Optional[int] = None,
-              carrier_cap: int = DEFAULT_CARRIER_CAP) -> "TestUniverse":
-        labels = ["a", "b", "c", "d"]
-        objs = [atoms(*labels[:n]) for n in range(max_size + 1)]
-        return TestUniverse(objs, morphism_policy=policy, seed=seed, carrier_cap=carrier_cap)
-
-    def morphisms(self, X: FinSet, Y: FinSet) -> Iterator[FinFn]:
-        fns = iter_functions(X, Y)
-        if self.morphism_policy == "all":
-            yield from fns
-            return
-        pool = list(fns)
-        rng = random.Random(self.seed)
-        k = min(self.sample_size, len(pool))
-        yield from (pool[i] for i in sorted(rng.sample(range(len(pool)), k)))
-
-    def all_morphisms(self) -> Iterator[FinFn]:
-        for X in self.objects:
-            for Y in self.objects:
-                yield from self.morphisms(X, Y)
-
-    def describe(self) -> str:
-        sizes = ",".join(str(len(X)) for X in self.objects)
-        seed = "-" if self.seed is None else str(self.seed)
-        return f"sizes={sizes} policy={self.morphism_policy} seed={seed} cap={self.carrier_cap}"
+from .pasting.builtin import builtin_signature, mixed_signature
+from .pasting.evaluate import Interpretation, check_cells
+from .report import LawReport, TestUniverse, compare
+from .transforms import ComponentUnavailable, NatTrans, formula, identity_nat, tabulated
 
 
 @dataclass
@@ -147,148 +96,58 @@ class MonadExtensive:
 
 
 # ---------------------------------------------------------------------------
-# axiom evaluation helpers
+# law checkers
+#
+# The monoidal forms evaluate cells of the shipped signatures: the monad
+# interprets T of the built-in signature, the comonad L of the mixed one.
 
-
-def _eval_sides(
-    report: LawReport,
-    axiom: str,
-    universe: TestUniverse,
-    lhs_steps,
-    rhs_steps,
-    src_functor: FunctorExpr,
-) -> None:
-    """Compare two composites (or identity when steps are None) per object."""
-    checked = 0
-    skipped = 0
-    witness = None
-    for X in universe.objects:
-        try:
-            left = (
-                composite_map(lhs_steps, X, universe.carrier_cap)
-                if lhs_steps
-                else identity_map(src_functor, X, universe.carrier_cap)
-            )
-            right = (
-                composite_map(rhs_steps, X, universe.carrier_cap)
-                if rhs_steps
-                else identity_map(src_functor, X, universe.carrier_cap)
-            )
-        except (OversizeCarrier, ComponentUnavailable):
-            skipped += 1
-            continue
-        checked += 1
-        if witness is None and left != right:
-            for e, v in left.items():
-                if right[e] != v:
-                    witness = Witness(
-                        at=f"|X|={len(X)}",
-                        element=element_repr(e),
-                        lhs=element_repr(v),
-                        rhs=element_repr(right[e]),
-                    )
-                    break
-    report.verdicts.append(
-        AxiomVerdict(axiom, passed=(witness is None and checked > 0), checked=checked,
-                     skipped=skipped, witness=witness)
-    )
+MONAD_CELLS = {"unit-left": "unit-l-T", "unit-right": "unit-r-T", "associativity": "assoc-T"}
+COMONAD_CELLS = {"counit-left": "counit-l-L", "counit-right": "counit-r-L",
+                 "coassociativity": "coassoc-L"}
 
 
 def check_monad_monoidal(M: MonadMonoidal, universe: TestUniverse) -> LawReport:
     """Two unit triangles and associativity, evaluated exhaustively."""
-    T = M.functor
-    I = Id()
-    report = LawReport(f"monad:{M.name}", universe.describe())
-    _eval_sides(
-        report, "unit-left", universe,
-        [Step(I, M.unit, T), Step(I, M.mult, I)], None, T,
-    )
-    _eval_sides(
-        report, "unit-right", universe,
-        [Step(T, M.unit, I), Step(I, M.mult, I)], None, T,
-    )
-    _eval_sides(
-        report, "associativity", universe,
-        [Step(T, M.mult, I), Step(I, M.mult, I)],
-        [Step(I, M.mult, T), Step(I, M.mult, I)],
-        compose_functors(T, T, T),
-    )
-    return report
+    interp = Interpretation(M.name, {"T": M.functor}, {"u": M.unit, "m": M.mult})
+    return check_cells(f"monad:{M.name}", MONAD_CELLS, interp, universe, builtin_signature())
 
 
 def check_comonad(C: ComonadMonoidal, universe: TestUniverse) -> LawReport:
-    L = C.functor
-    I = Id()
-    report = LawReport(f"comonad:{C.name}", universe.describe())
-    _eval_sides(
-        report, "counit-left", universe,
-        [Step(I, C.comult, I), Step(I, C.counit, L)], None, L,
-    )
-    _eval_sides(
-        report, "counit-right", universe,
-        [Step(I, C.comult, I), Step(L, C.counit, I)], None, L,
-    )
-    _eval_sides(
-        report, "coassociativity", universe,
-        [Step(I, C.comult, I), Step(I, C.comult, L)],
-        [Step(I, C.comult, I), Step(L, C.comult, I)],
-        L,
-    )
-    return report
+    """Two counit triangles and coassociativity, evaluated exhaustively."""
+    interp = Interpretation(C.name, {"L": C.functor}, {"epsilon": C.counit, "delta": C.comult})
+    return check_cells(f"comonad:{C.name}", COMONAD_CELLS, interp, universe, mixed_signature())
 
 
 def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawReport:
     """The three Kleisli-triple equations, quantified over ambient homs."""
     amb = M.ambient
-    report = LawReport(f"monad-extensive:{M.name}", universe.describe())
-
-    def verdicts(axiom: str, instances) -> None:
-        checked = 0
-        witness = None
-        for descr, lhs, rhs in instances:
-            checked += 1
-            if witness is None and lhs != rhs:
-                for x in lhs.dom.elements:
-                    if lhs(x) != rhs(x):
-                        witness = Witness(
-                            at=descr, element=element_repr(x),
-                            lhs=element_repr(lhs(x)), rhs=element_repr(rhs(x)),
-                        )
-                        break
-        report.verdicts.append(
-            AxiomVerdict(axiom, passed=(witness is None and checked > 0), checked=checked,
-                         witness=witness)
-        )
 
     def axiom1():
         for X in universe.objects:
             for Y in universe.objects:
                 for f in amb.hom(X, M.obj(Y)):
-                    yield (f"f:{len(X)}->{len(Y)}", amb.compose(M.ext(f), M.unit_at(X)), f)
+                    yield f"f:{len(X)}->{len(Y)}", (amb.compose(M.ext(f), M.unit_at(X)), f)
 
     def axiom2():
         for X in universe.objects:
-            yield (f"|X|={len(X)}", M.ext(M.unit_at(X)), amb.identity(M.obj(X)))
+            yield f"|X|={len(X)}", (M.ext(M.unit_at(X)), amb.identity(M.obj(X)))
 
     def axiom3():
         for X in universe.objects:
             for Y in universe.objects:
                 fs = amb.hom(X, M.obj(Y))
                 for Z in universe.objects:
-                    gs = amb.hom(Y, M.obj(Z))
-                    for g in gs:
+                    at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
+                    for g in amb.hom(Y, M.obj(Z)):
                         eg = M.ext(g)
                         for f in fs:
-                            yield (
-                                f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}",
-                                M.ext(amb.compose(eg, f)),
-                                amb.compose(eg, M.ext(f)),
-                            )
+                            yield at, (M.ext(amb.compose(eg, f)), amb.compose(eg, M.ext(f)))
 
-    verdicts("extension-unit", axiom1())
-    verdicts("unit-extension", axiom2())
-    verdicts("extension-composition", axiom3())
-    return report
+    return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
+        compare("extension-unit", axiom1()),
+        compare("unit-extension", axiom2()),
+        compare("extension-composition", axiom3()),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +197,6 @@ def extensive_to_monoidal(M: MonadExtensive, F: FunctorExpr, universe: TestUnive
     tables_m: dict[FinSet, FinFn] = {
         X: M.ext(identity(M.obj(X))) for X in universe.objects
     }
-    from .transforms import tabulated
-
     unit = tabulated(Id(), F, tables_u, name=f"{M.name}.unit")
     mult = tabulated(compose_functors(F, F), F, tables_m, name=f"{M.name}.mult")
     return MonadMonoidal(M.name, F, unit, mult)
@@ -383,42 +240,29 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Kleis
 
 def check_category(C: Category, universe: TestUniverse) -> LawReport:
     """Associativity and unitality of a finite category's composition."""
-    report = LawReport(f"category:{C.name}", universe.describe())
     objs = universe.objects
 
-    unit_checked, unit_witness = 0, None
-    for X in objs:
-        for Y in objs:
-            for f in C.hom(X, Y):
-                unit_checked += 2
-                if unit_witness is None and C.compose(f, C.identity(X)) != f:
-                    unit_witness = Witness(f"|X|={len(X)},|Y|={len(Y)}", "id-right", repr(f), "f")
-                if unit_witness is None and C.compose(C.identity(Y), f) != f:
-                    unit_witness = Witness(f"|X|={len(X)},|Y|={len(Y)}", "id-left", repr(f), "f")
-    report.verdicts.append(
-        AxiomVerdict("unitality", passed=unit_witness is None and unit_checked > 0,
-                     checked=unit_checked, witness=unit_witness)
-    )
+    def unitality():
+        for X in objs:
+            for Y in objs:
+                at = f"f:{len(X)}->{len(Y)}"
+                for f in C.hom(X, Y):
+                    yield f"{at},id-right", (C.compose(f, C.identity(X)), f)
+                    yield f"{at},id-left", (C.compose(C.identity(Y), f), f)
 
-    assoc_checked, assoc_witness = 0, None
-    for X in objs:
-        for Y in objs:
-            for Z in objs:
-                for W in objs:
-                    for f in C.hom(X, Y):
-                        for g in C.hom(Y, Z):
-                            gf = C.compose(g, f)
-                            for h in C.hom(Z, W):
-                                assoc_checked += 1
-                                if assoc_witness is None and C.compose(h, gf) != C.compose(C.compose(h, g), f):
-                                    assoc_witness = Witness(
-                                        f"|X|={len(X)},|Y|={len(Y)},|Z|={len(Z)},|W|={len(W)}",
-                                        "assoc", repr(f), repr(g))
-    report.verdicts.append(
-        AxiomVerdict("associativity", passed=assoc_witness is None and assoc_checked > 0,
-                     checked=assoc_checked, witness=assoc_witness)
-    )
-    return report
+    def associativity():
+        for X, Y, Z, W in product(objs, repeat=4):
+            at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)},h:{len(Z)}->{len(W)}"
+            for f in C.hom(X, Y):
+                for g in C.hom(Y, Z):
+                    gf = C.compose(g, f)
+                    for h in C.hom(Z, W):
+                        yield at, (C.compose(h, gf), C.compose(C.compose(h, g), f))
+
+    return LawReport(f"category:{C.name}", universe.describe(), [
+        compare("unitality", unitality()),
+        compare("associativity", associativity()),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +310,7 @@ GROUP_Z2 = Monoid(elems=("1", "s"), op=(("1", "s"), ("s", "1")), unit="1")
 
 def identity_monad() -> MonadMonoidal:
     I = Id()
-    return MonadMonoidal("identity", I, identity_nat_named(I, "u"), identity_nat_named(I, "m"))
-
-
-def identity_nat_named(F: FunctorExpr, name: str) -> NatTrans:
-    return formula(F, F, lambda e: e, name=name)
+    return MonadMonoidal("identity", I, identity_nat(I, "u"), identity_nat(I, "m"))
 
 
 def exception_monad(labels: Iterable[str]) -> MonadMonoidal:

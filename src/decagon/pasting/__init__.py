@@ -25,12 +25,20 @@ from .normalform import NormalPasting, Occurrence, flatten, normalize, occurrenc
 from .signature import Signature, SignatureBuilder, PathScript, parse_signature, signature_to_text
 from .builtin import (
     builtin_signature,
+    mixed_signature,
     build_H,
     build_kleisli_extension_cells,
     build_omega_from_pentagons,
     build_pentagons_from_omega,
 )
-from .evaluate import Interpretation, check_axiom_degenerate, evaluate_cell, exception_powerset_interpretation, identity_interpretation
+from .evaluate import (
+    Interpretation,
+    check_axiom_degenerate,
+    check_cells,
+    evaluate_cell,
+    identity_interpretation,
+    law_interpretation,
+)
 
 __all__ = [
     "Word", "ArrowGen", "ArrowAtom", "Path",
@@ -38,8 +46,8 @@ __all__ = [
     "PastingTerm", "boundary", "BoundaryError", "cells_used",
     "Occurrence", "NormalPasting", "flatten", "normalize", "occurrences_to_term",
     "Signature", "SignatureBuilder", "PathScript", "parse_signature", "signature_to_text",
-    "builtin_signature", "build_omega_from_pentagons", "build_pentagons_from_omega",
+    "builtin_signature", "mixed_signature", "build_omega_from_pentagons", "build_pentagons_from_omega",
     "build_kleisli_extension_cells", "build_H",
-    "Interpretation", "check_axiom_degenerate", "evaluate_cell",
-    "exception_powerset_interpretation", "identity_interpretation",
+    "Interpretation", "check_axiom_degenerate", "check_cells", "evaluate_cell",
+    "identity_interpretation", "law_interpretation",
 ]

@@ -7,11 +7,15 @@ g: Y -> PTZ, h: Z -> PTW over formal object symbols X, Y, Z, W.
 
 Cell generators: the four pentagon/triangle modifications omega1..omega4,
 the decagon Omega, the algebra-form cells psi1, psi2, Psi, the
-op-homomorphism square H, the extension cells phi, theta, delta, monad
-structure cells (two units and associativity for each monad), and the
-interchanger squares the axiom pastings route through.  Each axiom is a
-pair of parallel pasting terms produced by a path rewrite script; the
-scripts mirror the pasting diagrams region by region.
+op-homomorphism square H and the five-axiom squares algebra-mult and
+mu-diagram, the extension cells phi, theta, delta, monad structure cells
+(two units and associativity for each monad), and the interchanger squares
+the axiom pastings route through.  Each axiom is a pair of parallel
+pasting terms produced by a path rewrite script; the scripts mirror the
+pasting diagrams region by region.
+
+A second, axiom-free signature over a comonad L and a monad R holds the
+comonad laws and the cells of the two mixed-law axiom systems.
 """
 
 from __future__ import annotations
@@ -82,6 +86,17 @@ def _builder() -> SignatureBuilder:
         "H",
         P([A("TP", "m", ""), A("", "alpha", "")]),
         P([A("", "alpha", "T"), A("P", "m", "")]),
+    )
+    # the remaining two squares of the five-axiom system for alpha
+    b.cell(
+        "algebra-mult",
+        P([A("T", "alpha", ""), A("", "alpha", "")]),
+        P([A("", "m", "PT"), A("", "alpha", "")]),
+    )
+    b.cell(
+        "mu-diagram",
+        P([A("TP", "u", "PT"), A("", "alpha", "PT"), A("P", "alpha", ""), A("", "mu", "T")]),
+        P([A("T", "mu", "T"), A("", "alpha", "")]),
     )
 
     # Kleisli-extension cells over the generic morphisms
@@ -396,6 +411,52 @@ def builtin_signature() -> Signature:
     _pentagon_scripts(b, probe)
     _extension_scripts(b, probe)
     _h_script(b, probe)
+    return b.build()
+
+
+@lru_cache(maxsize=1)
+def mixed_signature() -> Signature:
+    """Comonad L (epsilon: L -> 1, delta: L -> LL), monad R (eta, mu) and
+    lambda: LR -> RL: the comonad laws, the two triangles, the two
+    pentagons and the mixed decagon from LRR to RLL."""
+    b = SignatureBuilder("LR")
+    b.arrow("epsilon", "L", "")
+    b.arrow("delta", "L", "LL")
+    b.arrow("eta", "", "R")
+    b.arrow("mu", "RR", "R")
+    b.arrow("lambda", "LR", "RL")
+
+    A, P = b.atom, b.path
+    b.cell("counit-l-L", P([A("", "delta", ""), A("", "epsilon", "L")]), P([], "L"))
+    b.cell("counit-r-L", P([A("", "delta", ""), A("L", "epsilon", "")]), P([], "L"))
+    b.cell(
+        "coassoc-L",
+        P([A("", "delta", ""), A("", "delta", "L")]),
+        P([A("", "delta", ""), A("L", "delta", "")]),
+    )
+    b.cell(
+        "epsilon-triangle",
+        P([A("", "lambda", ""), A("R", "epsilon", "")]),
+        P([A("", "epsilon", "R")]),
+    )
+    b.cell("eta-triangle", P([A("L", "eta", ""), A("", "lambda", "")]), P([A("", "eta", "L")]))
+    b.cell(
+        "delta-pentagon",
+        P([A("", "lambda", ""), A("R", "delta", "")]),
+        P([A("", "delta", "R"), A("L", "lambda", ""), A("", "lambda", "L")]),
+    )
+    b.cell(
+        "mu-pentagon",
+        P([A("L", "mu", ""), A("", "lambda", "")]),
+        P([A("", "lambda", "R"), A("R", "lambda", ""), A("", "mu", "L")]),
+    )
+    b.cell(
+        "mixed-decagon",
+        P([A("", "lambda", "R"), A("R", "delta", "R"), A("RL", "lambda", ""),
+           A("R", "lambda", "L"), A("", "mu", "LL")]),
+        P([A("", "delta", "RR"), A("L", "lambda", "R"), A("LR", "lambda", ""),
+           A("L", "mu", "L"), A("", "lambda", "L")]),
+    )
     return b.build()
 
 

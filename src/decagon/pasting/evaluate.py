@@ -12,14 +12,12 @@ operator-form axioms lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional
 
-from ..elements import FinFn, FinSet, element_repr, iter_functions
+from ..elements import FinFn, FinSet, iter_functions
 from ..functors import Const, FunctorExpr, Id, apply_obj, compose_functors
-from ..monads import TestUniverse
-from ..report import AxiomVerdict, LawReport, Witness
+from ..report import AxiomVerdict, LawReport, TestUniverse, compare
 from ..transforms import (
     ComponentUnavailable,
     NatTrans,
@@ -101,28 +99,18 @@ def identity_interpretation() -> Interpretation:
 
 
 def law_interpretation(law) -> Interpretation:
-    """Strict interpretation induced by a concrete distributive law."""
-    from ..distlaw import DistLaw, monoidal_to_algebra
+    """Strict interpretation induced by a concrete distributive law, given
+    by lambda (``DistLaw``, which also interprets alpha as Pm . lambda T)
+    or by alpha (``DistLawAlgebra``)."""
+    from ..distlaw import DistLawAlgebra, monoidal_to_algebra
 
-    alg = monoidal_to_algebra(law)
-    return Interpretation(
-        law.name,
-        {"T": law.T.functor, "P": law.P.functor},
-        {
-            "u": law.T.unit,
-            "m": law.T.mult,
-            "eta": law.P.unit,
-            "mu": law.P.mult,
-            "lambda": law.lam,
-            "alpha": alg.alpha,
-        },
-    )
-
-
-def exception_powerset_interpretation() -> Interpretation:
-    from ..distlaw import exception_over_powerset
-
-    return law_interpretation(exception_over_powerset())
+    arrows = {"u": law.T.unit, "m": law.T.mult, "eta": law.P.unit, "mu": law.P.mult}
+    if isinstance(law, DistLawAlgebra):
+        arrows["alpha"] = law.alpha
+    else:
+        arrows["lambda"] = law.lam
+        arrows["alpha"] = monoidal_to_algebra(law).alpha
+    return Interpretation(law.name, {"T": law.T.functor, "P": law.P.functor}, arrows)
 
 
 def _mentioned_symbols(cell: CellGen) -> tuple[set[str], set[str]]:
@@ -139,6 +127,15 @@ def _mentioned_symbols(cell: CellGen) -> tuple[set[str], set[str]]:
 
 
 _GENERIC_BOUNDARY = {"f": ("X", "Y"), "g": ("Y", "Z"), "h": ("Z", "W")}
+
+
+def _side(interp: Interpretation, path: Path, objects: dict[str, FinSet],
+          generics: dict[str, FinFn], X: FinSet, cap: int) -> dict:
+    """A path's composite at X; the identity map for the empty path."""
+    steps = interp.path_steps(path, objects, generics)
+    if steps:
+        return composite_map(steps, X, cap)
+    return identity_map(interp.word_functor(path.start, objects), X, cap)
 
 
 def evaluate_cell(
@@ -161,77 +158,62 @@ def evaluate_cell(
         )
     objs, gens = _mentioned_symbols(cell)
     obj_names = sorted(objs | {o for g in gens for o in _GENERIC_BOUNDARY[g]})
-    checked = 0
-    skipped = 0
-    witness: Optional[Witness] = None
 
     def pt_of(Y: FinSet) -> FinSet:
         PT = compose_functors(interp.functors["P"], interp.functors["T"])
         return apply_obj(PT, Y)
 
-    def instances():
-        nonlocal skipped
-        if not obj_names:
-            yield {}, {}
-            return
+    def assignments():
+        """(objects, generics) pairs; generics is None where the hom-sets
+        are too large to enumerate."""
         for combo in product(universe.objects, repeat=len(obj_names)):
             assignment = dict(zip(obj_names, combo))
-            if not gens:
-                yield assignment, {}
-                continue
             pools = []
-            feasible = True
             for g in sorted(gens):
                 a, b = _GENERIC_BOUNDARY[g]
                 target = pt_of(assignment[b])
                 if len(target) ** len(assignment[a]) > 4096:
-                    feasible = False
+                    yield assignment, None
                     break
                 pools.append([(g, fn) for fn in iter_functions(assignment[a], target)])
-            if not feasible:
-                skipped += 1
-                continue
-            for chosen in product(*pools):
-                yield assignment, dict(chosen)
+            else:
+                for chosen in product(*pools):
+                    yield assignment, dict(chosen)
 
-    for assignment, generics in instances():
-        ambient_objects = universe.objects if not obj_names else [universe.objects[0]]
-        for X in ambient_objects:
-            try:
-                lhs_steps = interp.path_steps(cell.src, assignment, generics)
-                rhs_steps = interp.path_steps(cell.tgt, assignment, generics)
-                src_F = interp.word_functor(cell.src.start, assignment)
-                left = (
-                    composite_map(lhs_steps, X, universe.carrier_cap)
-                    if lhs_steps
-                    else identity_map(src_F, X, universe.carrier_cap)
-                )
-                right = (
-                    composite_map(rhs_steps, X, universe.carrier_cap)
-                    if rhs_steps
-                    else identity_map(src_F, X, universe.carrier_cap)
-                )
-            except (OversizeCarrier, ComponentUnavailable):
-                skipped += 1
+    def instances():
+        ambient_objects = universe.objects if not obj_names else universe.objects[:1]
+        for assignment, generics in assignments():
+            where = "".join(f",{k}={len(v)}" for k, v in assignment.items())
+            if generics is None:
+                yield where, None
                 continue
-            checked += 1
-            if witness is None and left != right:
-                for e, v in left.items():
-                    if right[e] != v:
-                        at = f"|X|={len(X)}" + (
-                            "," + ",".join(f"{k}={len(v0)}" for k, v0 in assignment.items())
-                            if assignment else ""
-                        )
-                        witness = Witness(at, element_repr(e), element_repr(v),
-                                          element_repr(right[e]))
-                        break
-    return AxiomVerdict(
-        f"cell:{cell.name}",
-        passed=(witness is None and checked > 0),
-        checked=checked,
-        skipped=skipped,
-        witness=witness,
-    )
+            for X in ambient_objects:
+                at = f"|X|={len(X)}{where}"
+                try:
+                    left = _side(interp, cell.src, assignment, generics, X, universe.carrier_cap)
+                    right = _side(interp, cell.tgt, assignment, generics, X, universe.carrier_cap)
+                except (OversizeCarrier, ComponentUnavailable):
+                    yield at, None
+                    continue
+                yield at, (left, right)
+
+    return compare(f"cell:{cell.name}", instances())
+
+
+def check_cells(
+    law: str,
+    cells: dict[str, str],
+    interp: Interpretation,
+    universe: TestUniverse,
+    sig: Signature,
+) -> LawReport:
+    """Evaluate the named cells of ``sig`` under ``interp``; each verdict is
+    reported under its key in ``cells``."""
+    report = LawReport(law, universe.describe())
+    for axiom, name in cells.items():
+        report.verdicts.append(replace(evaluate_cell(sig.cells[name], interp, universe),
+                                       axiom=axiom))
+    return report
 
 
 def check_axiom_degenerate(
@@ -246,7 +228,5 @@ def check_axiom_degenerate(
     sig = sig or builtin_signature()
     lhs, rhs = sig.axioms[axiom_name]
     names = sorted(cells_used(lhs) | cells_used(rhs))
-    report = LawReport(f"axiom:{axiom_name}[{interp.name}]", universe.describe())
-    for name in names:
-        report.verdicts.append(evaluate_cell(sig.cells[name], interp, universe))
-    return report
+    return check_cells(f"axiom:{axiom_name}[{interp.name}]", {f"cell:{n}": n for n in names},
+                       interp, universe, sig)

@@ -3,13 +3,60 @@
 A report claims "pass" for an axiom only if every instance that fits the
 carrier cap was evaluated equal; instances whose source carrier would be
 astronomically large (iterated powersets grow as towers of exponentials)
-are counted in ``skipped`` rather than silently ignored.
+are counted in ``skipped`` rather than silently ignored.  Every checker
+reaches its verdicts through the one kernel ``compare``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
+
+from .elements import FinFn, FinSet, atoms, element_repr, iter_functions
+
+DEFAULT_CARRIER_CAP = 200_000
+
+
+@dataclass
+class TestUniverse:
+    """Objects and morphism policy over which all exhaustive checks run."""
+
+    __test__ = False  # not a pytest class
+
+    objects: list[FinSet]
+    morphism_policy: str = "all"  # "all" | "sample"
+    seed: Optional[int] = None
+    sample_size: int = 20
+    depth_bound: int = 7
+    carrier_cap: int = DEFAULT_CARRIER_CAP
+
+    @staticmethod
+    def sizes(max_size: int = 2, policy: str = "all", seed: Optional[int] = None,
+              carrier_cap: int = DEFAULT_CARRIER_CAP) -> "TestUniverse":
+        labels = ["a", "b", "c", "d"]
+        objs = [atoms(*labels[:n]) for n in range(max_size + 1)]
+        return TestUniverse(objs, morphism_policy=policy, seed=seed, carrier_cap=carrier_cap)
+
+    def morphisms(self, X: FinSet, Y: FinSet) -> Iterator[FinFn]:
+        fns = iter_functions(X, Y)
+        if self.morphism_policy == "all":
+            yield from fns
+            return
+        pool = list(fns)
+        rng = random.Random(self.seed)
+        k = min(self.sample_size, len(pool))
+        yield from (pool[i] for i in sorted(rng.sample(range(len(pool)), k)))
+
+    def all_morphisms(self) -> Iterator[FinFn]:
+        for X in self.objects:
+            for Y in self.objects:
+                yield from self.morphisms(X, Y)
+
+    def describe(self) -> str:
+        sizes = ",".join(str(len(X)) for X in self.objects)
+        seed = "-" if self.seed is None else str(self.seed)
+        return f"sizes={sizes} policy={self.morphism_policy} seed={seed} cap={self.carrier_cap}"
 
 
 @dataclass(frozen=True)
@@ -43,6 +90,34 @@ class AxiomVerdict:
         if self.witness is not None:
             out["witness"] = self.witness.as_dict()
         return out
+
+
+def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> AxiomVerdict:
+    """The compare-and-witness kernel of every checker.
+
+    ``instances`` yields ``(at, sides)`` per instance: ``sides`` is None for
+    an instance that could not be evaluated, which counts as skipped, or
+    the pair (lhs, rhs) of element maps over one source carrier, either
+    dicts filled in canonical carrier order or ``FinFn`` tables.  The
+    witness is the first element, in that order, of the first instance
+    whose sides differ; the verdict passes when there is no witness and
+    at least one instance was evaluated.
+    """
+    checked = skipped = 0
+    witness = None
+    for at, sides in instances:
+        if sides is None:
+            skipped += 1
+            continue
+        checked += 1
+        lhs, rhs = sides
+        if witness is None and lhs != rhs:
+            if isinstance(lhs, FinFn):
+                lhs, rhs = dict(lhs.pairs), dict(rhs.pairs)
+            witness = next((Witness(at, element_repr(e), element_repr(v), element_repr(rhs[e]))
+                            for e, v in lhs.items() if rhs[e] != v), None)
+    return AxiomVerdict(axiom, passed=witness is None and checked > 0, checked=checked,
+                        skipped=skipped, witness=witness)
 
 
 @dataclass

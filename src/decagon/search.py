@@ -19,8 +19,8 @@ from typing import Iterator
 from .distlaw import DistLaw, check_algebra, check_beck, check_decagon
 from .elements import function_count, iter_functions
 from .functors import apply_obj, compose_functors
-from .monads import MonadMonoidal, TestUniverse
-from .report import LawReport
+from .monads import MonadMonoidal
+from .report import LawReport, TestUniverse
 from .transforms import check_naturality, tabulated
 
 EVIDENCE_NOTE = (

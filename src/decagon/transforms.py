@@ -111,12 +111,6 @@ def step_source(s: Step) -> FunctorExpr:
     return compose_functors(s.prefix, s.nt.src, s.suffix)
 
 
-def step_target(s: Step) -> FunctorExpr:
-    from .functors import compose_functors
-
-    return compose_functors(s.prefix, s.nt.tgt, s.suffix)
-
-
 class OversizeCarrier(Exception):
     """A composite evaluation would need a carrier above the configured cap."""
 

@@ -214,8 +214,8 @@ def test_criterion_8_symbolic_layer(announce):
         build_pentagons_from_omega,
         builtin_signature,
         check_axiom_degenerate,
-        exception_powerset_interpretation,
         flatten,
+        law_interpretation,
         normalize,
         occurrences_to_term,
     )
@@ -270,7 +270,7 @@ def test_criterion_8_symbolic_layer(announce):
         assert normalize(variants[1], sig) == n0
         checked_pairs += 1
 
-    interp = exception_powerset_interpretation()
+    interp = law_interpretation(exception_over_powerset())
     for name in expected:
         rep = check_axiom_degenerate(name, interp, U2, sig)
         assert rep.ok, rep.summary()

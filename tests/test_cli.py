@@ -74,8 +74,9 @@ def test_check_failure_exit_one(tmp_path, capsys):
 
 def test_malformed_registry_exit_two(tmp_path, capsys):
     registry = tmp_path / "registry.json"
-    registry.write_text("{not json")
-    assert run(["check-law", "--law", "x", "--registry", str(registry)]) == 2
+    for text in ("{not json", "[]", '{"monads": [1]}', '{"laws": {"law": "x"}}'):
+        registry.write_text(text)
+        assert run(["check-law", "--law", "x", "--registry", str(registry)]) == 2
 
 
 def test_registry_with_mismatched_component_exit_two(tmp_path):

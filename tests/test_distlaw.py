@@ -209,6 +209,28 @@ def test_five_axiom_with_identity_p():
     assert report.ok, report.summary()
 
 
+def test_five_axiom_catches_size_sensitive_alpha():
+    # lambda adds inr(e) to the image of singletons only
+    good = exception_over_powerset()
+
+    def lam_fn(e):
+        if type(e) is Inl:
+            img = [Inl(x) for x in e.value.members]
+            if len(img) == 1:
+                img.append(Inr(Atom("e")))
+            return subset(img)
+        return Subset((e,))
+
+    bad = DistLaw("size-sensitive", good.T, good.P,
+                  formula(good.lam.src, good.lam.tgt, lam_fn, "bad"))
+    D = monoidal_to_algebra(bad)
+    report = check_five_axiom(D.alpha, D.T, D.P, U2, name=bad.name)
+    v = report.verdict("mu-diagram")
+    assert not v.passed and v.checked == 3
+    w = v.witness
+    assert (w.at, w.element, w.lhs, w.rhs) == ("|X|=0", "inl({{}})", "{inr(e)}", "{}")
+
+
 def test_three_axiom_algebra_implies_five_axiom():
     for law in [exception_over_powerset(), writer_over_powerset(), identity_law()]:
         D = monoidal_to_algebra(law)

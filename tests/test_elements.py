@@ -15,7 +15,6 @@ from decagon.elements import (
     atoms,
     compose,
     element_key,
-    fn_equal,
     fn_table,
     identity,
     subset,
@@ -123,5 +122,5 @@ def test_fn_equal_two_builds():
     X = atoms("a", "b")
     f1 = FinFn(X, X, {Atom("a"): Atom("b"), Atom("b"): Atom("a")})
     f2 = FinFn(X, X, [(Atom("b"), Atom("a")), (Atom("a"), Atom("b"))])
-    assert fn_equal(f1, f2)
-    assert not fn_equal(f1, identity(X))
+    assert f1 == f2
+    assert f1 != identity(X)

@@ -200,6 +200,26 @@ def test_kleisli_refuses_broken_monad():
         kleisli(bad, TestUniverse.sizes(1))
 
 
+def test_check_category_witnesses_broken_kleisli_composition():
+    # the Kleisli category of the constant extension, built without the
+    # precheck: its identities are not units
+    good = monoidal_to_extensive(exception_monad(["e"]))
+
+    def bad_ext(f):
+        anchor = f.cod.elements[0]
+        return FinFn(good.obj(f.dom), f.cod, lambda _: anchor)
+
+    from decagon.monads import MonadExtensive
+
+    kl = kleisli(MonadExtensive("bad", good.obj, good.unit_at, bad_ext))
+    report = check_category(kl, TestUniverse.sizes(1))
+    v = report.verdict("unitality")
+    assert not v.passed and v.checked == 10
+    w = v.witness
+    assert (w.at, w.element, w.lhs, w.rhs) == ("f:1->1,id-right", "a", "inl(a)", "inr(e)")
+    assert report.verdict("associativity").passed
+
+
 def test_coreader_comonad_passes():
     C = coreader_comonad(["a1", "a2"])
     report = check_comonad(C, U2)

@@ -16,13 +16,15 @@ from decagon.pasting import (
     build_omega_from_pentagons,
     build_pentagons_from_omega,
     builtin_signature,
+    cells_used,
     check_axiom_degenerate,
     evaluate_cell,
-    exception_powerset_interpretation,
     identity_interpretation,
+    mixed_signature,
     parse_signature,
     signature_to_text,
 )
+from decagon.distlaw import exception_over_powerset
 from decagon.pasting.evaluate import law_interpretation
 
 SIG = builtin_signature()
@@ -102,25 +104,101 @@ def test_theta_boundary_shape():
     assert len(theta.tgt) == 1 and theta.tgt.atoms[0].gen.name == "eta"
 
 
-def test_textual_round_trip():
-    text = signature_to_text(SIG)
-    sig2 = parse_signature(text)
-    assert sig2.alphabet == SIG.alphabet
-    assert sig2.arrows == SIG.arrows
+SHIPPED = [builtin_signature, mixed_signature]
+
+
+@pytest.mark.parametrize("build", SHIPPED, ids=lambda f: f.__name__)
+def test_textual_round_trip(build):
+    sig = build()
+    sig2 = parse_signature(signature_to_text(sig))
+    assert sig2.alphabet == sig.alphabet
+    assert sig2.arrows == sig.arrows
     assert {n: (c.src, c.tgt) for n, c in sig2.cells.items()} == {
-        n: (c.src, c.tgt) for n, c in SIG.cells.items()
+        n: (c.src, c.tgt) for n, c in sig.cells.items()
     }
-    assert sig2.axioms == SIG.axioms
+    assert sig2.axioms == sig.axioms
 
 
-def test_shipped_asset_matches_builtin():
+@pytest.mark.parametrize("build", SHIPPED, ids=lambda f: f.__name__)
+def test_shipped_asset_matches_builder(build):
     import importlib.resources as res
 
-    text = (res.files("decagon.pasting") / "assets" / "builtin_signature.sexp").read_text()
+    sig = build()
+    text = (res.files("decagon.pasting") / "assets" / f"{build.__name__}.sexp").read_text()
     sig2 = parse_signature(text)
-    assert sig2.axioms == SIG.axioms
+    assert sig2.axioms == sig.axioms
     assert {n: (c.src, c.tgt) for n, c in sig2.cells.items()} == {
-        n: (c.src, c.tgt) for n, c in SIG.cells.items()
+        n: (c.src, c.tgt) for n, c in sig.cells.items()
+    }
+
+
+# Every concrete checker evaluates cells of a shipped signature; its axiom
+# names map to these cells.
+CHECKER_CELLS = {
+    "check_beck": {"unit-u-triangle": "omega1", "unit-eta-triangle": "omega2",
+                   "m-pentagon": "omega3", "mu-pentagon": "omega4"},
+    "check_decagon": {"unit-u-triangle": "omega1", "unit-eta-triangle": "omega2",
+                      "decagon": "Omega"},
+    "check_algebra": {"unit-triangle": "psi1", "eta-square": "psi2", "hexagon": "Psi"},
+    "check_five_axiom": {"algebra-unit": "psi1", "algebra-mult": "algebra-mult",
+                         "m-square": "H", "eta-square": "psi2", "mu-diagram": "mu-diagram"},
+    "check_monad_monoidal": {"unit-left": "unit-l-T", "unit-right": "unit-r-T",
+                             "associativity": "assoc-T"},
+    "compose": {"unit-left": "unit-l-T", "unit-right": "unit-r-T", "associativity": "assoc-T"},
+    "check_comonad": {"counit-left": "counit-l-L", "counit-right": "counit-r-L",
+                      "coassociativity": "coassoc-L"},
+    "check_mixed_decagon": {"epsilon-triangle": "epsilon-triangle",
+                            "eta-triangle": "eta-triangle", "mixed-decagon": "mixed-decagon"},
+    "check_mixed_classic": {"epsilon-triangle": "epsilon-triangle",
+                            "eta-triangle": "eta-triangle", "delta-pentagon": "delta-pentagon",
+                            "mu-pentagon": "mu-pentagon"},
+}
+
+
+def _checker_run(checker: str):
+    """(report at size 0, the checker's cell table, the signature it reads)."""
+    from decagon import distlaw, monads
+
+    U0 = TestUniverse.sizes(0)
+    law = exception_over_powerset()
+    alg = distlaw.monoidal_to_algebra(law)
+    mixed = distlaw.coreader_over_powerset()
+    coreader = monads.builtin_monads()["coreader"]
+    powerset = monads.builtin_monads()["powerset"]
+    runs = {
+        "check_beck": lambda: (distlaw.check_beck(law, U0), distlaw.BECK_CELLS, SIG),
+        "check_decagon": lambda: (distlaw.check_decagon(law, U0), distlaw.DECAGON_CELLS, SIG),
+        "check_algebra": lambda: (distlaw.check_algebra(alg, U0), distlaw.ALGEBRA_CELLS, SIG),
+        "check_five_axiom": lambda: (distlaw.check_five_axiom(alg.alpha, law.T, law.P, U0),
+                                     distlaw.FIVE_AXIOM_CELLS, SIG),
+        "check_monad_monoidal": lambda: (monads.check_monad_monoidal(powerset, U0),
+                                         monads.MONAD_CELLS, SIG),
+        "compose": lambda: (monads.check_monad_monoidal(distlaw.compose_monads(alg), U0),
+                            monads.MONAD_CELLS, SIG),
+        "check_comonad": lambda: (monads.check_comonad(coreader, U0), monads.COMONAD_CELLS,
+                                  mixed_signature()),
+        "check_mixed_decagon": lambda: (distlaw.check_mixed_decagon(mixed, U0),
+                                        distlaw.MIXED_DECAGON_CELLS, mixed_signature()),
+        "check_mixed_classic": lambda: (distlaw.check_mixed_classic(mixed, U0),
+                                        distlaw.MIXED_CLASSIC_CELLS, mixed_signature()),
+    }
+    return runs[checker]()
+
+
+@pytest.mark.parametrize("checker", list(CHECKER_CELLS))
+def test_checker_axioms_are_signature_cells(checker):
+    report, table, sig = _checker_run(checker)
+    expected = CHECKER_CELLS[checker]
+    assert table == expected
+    assert [v.axiom for v in report.verdicts] == list(expected)
+    assert set(expected.values()) <= set(sig.cells)
+    assert report.ok, report.summary()
+
+
+def test_mixed_signature_cells_are_used_by_no_axiom():
+    assert mixed_signature().axioms == {}
+    assert not {"algebra-mult", "mu-diagram"} & {
+        n for lhs, rhs in SIG.axioms.values() for n in cells_used(lhs) | cells_used(rhs)
     }
 
 
@@ -135,12 +213,12 @@ def test_identity_interpretation_degenerate(axiom):
 
 @pytest.mark.parametrize("axiom", ["W1", "W5", "W10", "D1", "M1", "I1"])
 def test_exception_powerset_degenerate_fast_axioms(axiom):
-    rep = check_axiom_degenerate(axiom, exception_powerset_interpretation(), U2)
+    rep = check_axiom_degenerate(axiom, law_interpretation(exception_over_powerset()), U2)
     assert rep.ok, rep.summary()
 
 
 def test_degenerate_check_catches_broken_interpretation():
-    from decagon.distlaw import DistLaw, exception_over_powerset
+    from decagon.distlaw import DistLaw
     from decagon.elements import Inl, Subset, subset
     from decagon.transforms import formula
 
@@ -166,7 +244,7 @@ def test_builder_terms_evaluate_degenerately():
     from decagon.elements import FinSet, atoms, iter_functions
     from decagon.transforms import composite_map
 
-    interp = exception_powerset_interpretation()
+    interp = law_interpretation(exception_over_powerset())
     phi, theta, delta = build_kleisli_extension_cells(SIG)
     cell = SIG.cells["delta"]
     X0, Y0, Z0 = atoms("a"), atoms("b"), atoms("c")
@@ -183,7 +261,7 @@ def test_builder_terms_evaluate_degenerately():
     assert lhs == rhs
 
     # cross-check against the Kleisli extension built in the concrete layer
-    from decagon.distlaw import exception_over_powerset, extend_to_kleisli, monoidal_to_algebra
+    from decagon.distlaw import extend_to_kleisli, monoidal_to_algebra
     from decagon.elements import compose
 
     ext = extend_to_kleisli(monoidal_to_algebra(exception_over_powerset()))
@@ -194,7 +272,7 @@ def test_builder_terms_evaluate_degenerately():
 
 
 def test_evaluate_cell_quantifies_generics():
-    interp = exception_powerset_interpretation()
+    interp = law_interpretation(exception_over_powerset())
     v = evaluate_cell(SIG.cells["xc-u-e-f"], interp, U1)
     assert v.passed and v.checked > 1
 
