@@ -4,7 +4,8 @@ Reports are JSON on standard output with sorted keys and a stable layout,
 so identical invocations produce byte-identical reports; human-readable
 summaries go to standard error.  Exit code 0 means every requested check
 passed, 1 means a check failed (the report is still emitted), 2 means a
-usage or configuration error.
+usage or configuration error, 3 means an internal error (the traceback
+goes to standard error).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .distlaw import (
     MixedLaw,
@@ -446,6 +448,9 @@ def run(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     if args.timing:
         payload["timing_ms"] = int((time.monotonic() - t0) * 1000)
     _emit(payload, summaries)

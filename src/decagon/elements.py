@@ -5,36 +5,42 @@ function tables).  A fixed total order on terms, by constructor tag first
 and then recursively, makes every carrier canonical: two equal sets always
 have identical representations.  All values are immutable after
 construction.
+
+Elements are hash-consed: each constructor looks its structure up in the
+intern table ``_KEY_CACHE``, keyed by the tag and the child objects, and
+returns the live instance if there is one.  Two equal elements are
+therefore the same object, so equality and hashing are the ``object``
+defaults, and the order key ``(tag, children's keys...)`` is computed once
+into the ``_key`` slot.  Invariant: the table is never cleared, because
+identity equality holds only while it outlives every element.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Iterator
+
+# (tag, child objects...) -> the one live element with that structure
+_KEY_CACHE: dict[tuple, "Element"] = {}
 
 
 class Element:
-    """Base class for structured elements; hash is cached at construction."""
+    """Base class for hash-consed elements; ``_key`` is the order key."""
 
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("_key",)
 
 
 class Atom(Element):
     __slots__ = ("label",)
 
-    def __init__(self, label: str):
-        self.label = label
-        self._hash = hash((0, label))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Atom and self._hash == other._hash and self.label == other.label
-        )
-
-    __hash__ = Element.__hash__
+    def __new__(cls, label: str):
+        ident = (0, label)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e.label, e._key = label, ident
+        return e
 
     def __repr__(self):
         return f"Atom({self.label!r})"
@@ -43,16 +49,13 @@ class Atom(Element):
 class Inl(Element):
     __slots__ = ("value",)
 
-    def __init__(self, value: Element):
-        self.value = value
-        self._hash = hash((1, value))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Inl and self._hash == other._hash and self.value == other.value
-        )
-
-    __hash__ = Element.__hash__
+    def __new__(cls, value: Element):
+        ident = (1, value)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e.value, e._key = value, (1, value._key)
+        return e
 
     def __repr__(self):
         return f"Inl({self.value!r})"
@@ -61,16 +64,13 @@ class Inl(Element):
 class Inr(Element):
     __slots__ = ("value",)
 
-    def __init__(self, value: Element):
-        self.value = value
-        self._hash = hash((2, value))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Inr and self._hash == other._hash and self.value == other.value
-        )
-
-    __hash__ = Element.__hash__
+    def __new__(cls, value: Element):
+        ident = (2, value)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e.value, e._key = value, (2, value._key)
+        return e
 
     def __repr__(self):
         return f"Inr({self.value!r})"
@@ -79,20 +79,13 @@ class Inr(Element):
 class Pair(Element):
     __slots__ = ("fst", "snd")
 
-    def __init__(self, fst: Element, snd: Element):
-        self.fst = fst
-        self.snd = snd
-        self._hash = hash((3, fst, snd))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Pair
-            and self._hash == other._hash
-            and self.fst == other.fst
-            and self.snd == other.snd
-        )
-
-    __hash__ = Element.__hash__
+    def __new__(cls, fst: Element, snd: Element):
+        ident = (3, fst, snd)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e.fst, e.snd, e._key = fst, snd, (3, fst._key, snd._key)
+        return e
 
     def __repr__(self):
         return f"Pair({self.fst!r}, {self.snd!r})"
@@ -103,16 +96,13 @@ class Subset(Element):
 
     __slots__ = ("members",)
 
-    def __init__(self, members: tuple):
-        self.members = members
-        self._hash = hash((4, members))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Subset and self._hash == other._hash and self.members == other.members
-        )
-
-    __hash__ = Element.__hash__
+    def __new__(cls, members: tuple):
+        ident = (4, members)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e.members, e._key = members, (4, tuple(m._key for m in members))
+        return e
 
     def __repr__(self):
         return f"Subset({list(self.members)!r})"
@@ -123,53 +113,25 @@ class FnTable(Element):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple):
-        self.entries = entries
-        self._hash = hash((5, entries))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is FnTable and self._hash == other._hash and self.entries == other.entries
-        )
-
-    __hash__ = Element.__hash__
+    def __new__(cls, entries: tuple):
+        ident = (5, entries)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e.entries, e._key = entries, (5, tuple((a._key, b._key) for a, b in entries))
+        return e
 
     def __repr__(self):
         return f"FnTable({list(self.entries)!r})"
 
 
-_KEY_CACHE: dict[Element, tuple] = {}
-
-
-def element_key(e: Element) -> tuple:
-    """Total-order key: constructor tag, then recursive comparison data."""
-    k = _KEY_CACHE.get(e)
-    if k is not None:
-        return k
-    if type(e) is Atom:
-        k = (0, e.label)
-    elif type(e) is Inl:
-        k = (1, element_key(e.value))
-    elif type(e) is Inr:
-        k = (2, element_key(e.value))
-    elif type(e) is Pair:
-        k = (3, element_key(e.fst), element_key(e.snd))
-    elif type(e) is Subset:
-        k = (4, tuple(element_key(m) for m in e.members))
-    elif type(e) is FnTable:
-        k = (5, tuple((element_key(a), element_key(b)) for a, b in e.entries))
-    else:
-        raise TypeError(f"not an Element: {e!r}")
-    _KEY_CACHE[e] = k
-    return k
+# Total-order key of an element: constructor tag, then the children's keys.
+element_key = attrgetter("_key")
 
 
 def subset(members: Iterable[Element]) -> Subset:
     """Canonical subset: members sorted by the global order, duplicates removed."""
-    seen = {}
-    for m in members:
-        seen[m] = None
-    return Subset(tuple(sorted(seen, key=element_key)))
+    return Subset(tuple(sorted(dict.fromkeys(members), key=element_key)))
 
 
 def fn_table(entries: Iterable[tuple[Element, Element]]) -> FnTable:
@@ -205,10 +167,7 @@ class FinSet:
     __slots__ = ("elements", "_members", "_hash")
 
     def __init__(self, elements: Iterable[Element] = ()):
-        seen = {}
-        for e in elements:
-            seen[e] = None
-        self.elements = tuple(sorted(seen, key=element_key))
+        self.elements = tuple(sorted(dict.fromkeys(elements), key=element_key))
         self._members = frozenset(self.elements)
         self._hash = hash(self.elements)
 
@@ -239,6 +198,10 @@ def atoms(*labels: str) -> FinSet:
 
 class CompositionError(ValueError):
     """Raised when boundaries of a composition do not match."""
+
+    def __init__(self, cod: FinSet, dom: FinSet):
+        super().__init__(f"cannot compose: codomain {cod!r} does not equal domain {dom!r}")
+        self.cod, self.dom = cod, dom
 
 
 class FinFn:
@@ -306,9 +269,7 @@ def identity(X: FinSet) -> FinFn:
 def compose(g: FinFn, f: FinFn) -> FinFn:
     """g after f; boundaries must match syntactically."""
     if f.cod != g.dom:
-        raise CompositionError(
-            f"cannot compose: codomain {f.cod!r} does not equal domain {g.dom!r}"
-        )
+        raise CompositionError(f.cod, g.dom)
     gm, fm = g._map, f._map
     return FinFn._raw(f.dom, g.cod, {x: gm[fm[x]] for x in f.dom.elements})
 

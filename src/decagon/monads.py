@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .elements import (
     Atom,
+    CompositionError,
     Element,
     FinFn,
     FinSet,
@@ -118,6 +119,15 @@ def check_comonad(C: ComonadMonoidal, universe: TestUniverse) -> LawReport:
     return check_cells(f"comonad:{C.name}", COMONAD_CELLS, interp, universe, mixed_signature())
 
 
+def _composed(at: str, sides: Callable[[], tuple]) -> tuple:
+    """``(at, sides())``, or ``(at, error)`` when the sides do not compose,
+    which ``compare`` counts as a failing instance."""
+    try:
+        return at, sides()
+    except CompositionError as exc:
+        return at, exc
+
+
 def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawReport:
     """The three Kleisli-triple equations, quantified over ambient homs."""
     amb = M.ambient
@@ -126,7 +136,8 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
         for X in universe.objects:
             for Y in universe.objects:
                 for f in amb.hom(X, M.obj(Y)):
-                    yield f"f:{len(X)}->{len(Y)}", (amb.compose(M.ext(f), M.unit_at(X)), f)
+                    yield _composed(f"f:{len(X)}->{len(Y)}",
+                                    lambda: (amb.compose(M.ext(f), M.unit_at(X)), f))
 
     def axiom2():
         for X in universe.objects:
@@ -141,7 +152,8 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
                     for g in amb.hom(Y, M.obj(Z)):
                         eg = M.ext(g)
                         for f in fs:
-                            yield at, (M.ext(amb.compose(eg, f)), amb.compose(eg, M.ext(f)))
+                            yield _composed(at, lambda: (M.ext(amb.compose(eg, f)),
+                                                         amb.compose(eg, M.ext(f))))
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
         compare("extension-unit", axiom1()),

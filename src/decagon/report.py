@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .elements import FinFn, FinSet, atoms, element_repr, iter_functions
+from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter_functions
 
 DEFAULT_CARRIER_CAP = 200_000
 
@@ -96,12 +96,15 @@ def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> Axi
     """The compare-and-witness kernel of every checker.
 
     ``instances`` yields ``(at, sides)`` per instance: ``sides`` is None for
-    an instance that could not be evaluated, which counts as skipped, or
-    the pair (lhs, rhs) of element maps over one source carrier, either
-    dicts filled in canonical carrier order or ``FinFn`` tables.  The
-    witness is the first element, in that order, of the first instance
-    whose sides differ; the verdict passes when there is no witness and
-    at least one instance was evaluated.
+    an instance that could not be evaluated, which counts as skipped, a
+    ``CompositionError`` for one whose sides could not be composed, which
+    fails, or the pair (lhs, rhs) of element maps over one source carrier,
+    either dicts filled in canonical carrier order or ``FinFn`` tables.
+    The witness comes from the first instance that fails: the first
+    element, in that order, where its sides differ, or for ``FinFn`` sides
+    that agree on every element, the boundary they differ in.  The verdict
+    passes when there is no witness and at least one instance was
+    evaluated.
     """
     checked = skipped = 0
     witness = None
@@ -110,14 +113,26 @@ def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> Axi
             skipped += 1
             continue
         checked += 1
-        lhs, rhs = sides
-        if witness is None and lhs != rhs:
-            if isinstance(lhs, FinFn):
-                lhs, rhs = dict(lhs.pairs), dict(rhs.pairs)
-            witness = next((Witness(at, element_repr(e), element_repr(v), element_repr(rhs[e]))
-                            for e, v in lhs.items() if rhs[e] != v), None)
+        if witness is None:
+            witness = _difference(at, sides)
     return AxiomVerdict(axiom, passed=witness is None and checked > 0, checked=checked,
                         skipped=skipped, witness=witness)
+
+
+def _difference(at: str, sides) -> Optional[Witness]:
+    if isinstance(sides, CompositionError):
+        return Witness(at, "composition", f"codomain {sides.cod!r}", f"domain {sides.dom!r}")
+    lhs, rhs = sides
+    if lhs == rhs:
+        return None
+    boundary = None
+    if isinstance(lhs, FinFn):
+        if lhs.dom != rhs.dom:
+            return Witness(at, "domain", repr(lhs.dom), repr(rhs.dom))
+        boundary = Witness(at, "codomain", repr(lhs.cod), repr(rhs.cod))
+        lhs, rhs = dict(lhs.pairs), dict(rhs.pairs)
+    return next((Witness(at, element_repr(e), element_repr(v), element_repr(rhs[e]))
+                 for e, v in lhs.items() if rhs[e] != v), boundary)
 
 
 @dataclass

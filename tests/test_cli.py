@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from decagon import cli
 from decagon.cli import run
 
 PY = [sys.executable, "-m", "decagon.cli"]
@@ -116,6 +117,18 @@ def test_search_with_law(capsys):
 def test_search_budget_exit_two(capsys):
     assert run(["search", "--law", "exception-over-powerset",
                 "--max-size", "2", "--budget", "10"]) == 2
+
+
+def test_internal_error_exit_three(monkeypatch, capsys):
+    def broken(args, monads, laws):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "search", broken)
+    code = run(["search", "--law", "exception-over-powerset", "--max-size", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
 def test_pasting_derive(capsys):

@@ -30,9 +30,64 @@ def elements_strategy():
             kids.map(Inr),
             st.tuples(kids, kids).map(lambda p: Pair(*p)),
             st.lists(kids, max_size=3).map(subset),
+            st.dictionaries(kids, kids, max_size=2).map(lambda d: fn_table(d.items())),
         ),
         max_leaves=6,
     )
+
+
+def reference_key(e):
+    """The order key recomputed recursively from the structure, as it was
+    defined before elements carried it in a slot."""
+    if type(e) is Atom:
+        return (0, e.label)
+    if type(e) is Inl:
+        return (1, reference_key(e.value))
+    if type(e) is Inr:
+        return (2, reference_key(e.value))
+    if type(e) is Pair:
+        return (3, reference_key(e.fst), reference_key(e.snd))
+    if type(e) is Subset:
+        return (4, tuple(reference_key(m) for m in e.members))
+    if type(e) is FnTable:
+        return (5, tuple((reference_key(a), reference_key(b)) for a, b in e.entries))
+    raise TypeError(f"not an Element: {e!r}")
+
+
+def rebuild(e):
+    """A fresh construction of the same structure, from the leaves up."""
+    if type(e) is Atom:
+        return Atom("".join(e.label))
+    if type(e) in (Inl, Inr):
+        return type(e)(rebuild(e.value))
+    if type(e) is Pair:
+        return Pair(rebuild(e.fst), rebuild(e.snd))
+    if type(e) is Subset:
+        return subset(rebuild(m) for m in reversed(e.members))
+    return fn_table((rebuild(a), rebuild(b)) for a, b in reversed(e.entries))
+
+
+@given(st.lists(elements_strategy(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_slot_key_matches_reference_key(es):
+    for e in es:
+        assert element_key(e) == reference_key(e)
+    assert sorted(es, key=element_key) == sorted(es, key=reference_key)
+
+
+@given(elements_strategy())
+@settings(max_examples=200, deadline=None)
+def test_equal_structures_are_one_object(e):
+    assert rebuild(e) is e
+
+
+def test_two_builds_are_identical():
+    def build():
+        return Pair(Atom("a"), subset([Inl(Atom("c")), Atom("b"), Atom("b")]))
+
+    assert build() is build()
+    assert FnTable(((Atom("a"), Atom("b")),)) is fn_table([(Atom("a"), Atom("b"))])
+    assert Inl(Atom("a")) is not Inr(Atom("a"))
 
 
 @given(elements_strategy(), elements_strategy())

@@ -111,6 +111,41 @@ def test_extension_constant_unit_fails_axiom_one():
     assert not report.verdict("extension-unit").passed
 
 
+def test_junk_codomain_extension_fails_every_axiom_with_witness():
+    # ext(f) agrees with the good extension on every element but adds one
+    # junk element to its codomain, so no two sides differ on an element
+    good = monoidal_to_extensive(exception_monad(["e"]))
+
+    def junk_ext(f):
+        g = good.ext(f)
+        return FinFn(g.dom, FinSet(g.cod.elements + (Atom("junk"),)), g.pairs)
+
+    from decagon.monads import MonadExtensive
+
+    U0 = TestUniverse.sizes(0)
+    report = check_monad_extensive(MonadExtensive("junk", good.obj, good.unit_at, junk_ext), U0)
+    rows = {v.axiom: (v.passed, v.checked, v.witness.as_dict()) for v in report.verdicts}
+    assert rows == {
+        "extension-unit": (False, 1, {"at": "f:0->0", "element": "codomain",
+                                      "lhs": "FinSet({junk,inr(e)})", "rhs": "FinSet({inr(e)})"}),
+        "unit-extension": (False, 1, {"at": "|X|=0", "element": "codomain",
+                                      "lhs": "FinSet({junk,inr(e)})", "rhs": "FinSet({inr(e)})"}),
+        "extension-composition": (False, 1, {"at": "f:0->0,g:0->0", "element": "composition",
+                                             "lhs": "codomain FinSet({junk,inr(e)})",
+                                             "rhs": "domain FinSet({inr(e)})"}),
+    }
+
+
+def test_compare_names_a_domain_mismatch():
+    from decagon.report import compare
+
+    f = FinFn(atoms("a"), atoms("a"), lambda x: x)
+    v = compare("x", [("here", (f, identity(atoms("a", "b"))))])
+    assert not v.passed
+    assert v.witness.as_dict() == {"at": "here", "element": "domain",
+                                   "lhs": "FinSet({a})", "rhs": "FinSet({a,b})"}
+
+
 def test_round_trip_monoidal_extensive_monoidal():
     for name in MONAD_NAMES:
         M = builtin_monads()[name]
