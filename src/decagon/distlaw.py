@@ -37,18 +37,14 @@ from .monads import (
     MonadMonoidal,
     builtin_monads,
     kleisli,
+    memoised,
     monad_from_config,
     monoidal_to_extensive,
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
 from .report import LawReport, TestUniverse, compare
-from .transforms import (
-    ComponentUnavailable,
-    NatTrans,
-    formula,
-    tabulated,
-)
+from .transforms import NatTrans, components_by_image, formula, tabulated
 
 
 @dataclass
@@ -156,10 +152,13 @@ def check_five_axiom(
 
 
 def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
-    """Three equations on the extension operator, quantified over homs."""
+    """Three equations on the extension operator, quantified over homs.
+
+    Each distinct morphism goes through the operator once per call."""
     T = D.T
     P = D.P
     TF = T.functor
+    op = memoised(D.op)
 
     def homs(X: FinSet, Y: FinSet) -> list[FinFn]:
         return all_functions(X, P.obj(apply_obj(TF, Y)))
@@ -169,25 +168,25 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
             uX = T.unit.component(X)
             for Y in universe.objects:
                 for f in homs(X, Y):
-                    yield f"f:{len(X)}->{len(Y)}", (compose(D.op(f), uX), f)
+                    yield f"f:{len(X)}->{len(Y)}", (compose(op(f), uX), f)
 
     def ax_eta():
         for X in universe.objects:
             TX = apply_obj(TF, X)
             etaTX = P.unit_at(TX)
             mX = T.mult.component(X)
-            yield f"|X|={len(X)}", (D.op(etaTX), compose(etaTX, mX))
+            yield f"|X|={len(X)}", (op(etaTX), compose(etaTX, mX))
 
     def ax_comp():
         for X in universe.objects:
             for Y in universe.objects:
-                fs = [(f, D.op(f)) for f in homs(X, Y)]
+                fs = [(f, op(f)) for f in homs(X, Y)]
                 for Z in universe.objects:
                     at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
                     for g in homs(Y, Z):
-                        og_p = P.ext(D.op(g))
+                        og_p = P.ext(op(g))
                         for f, op_f in fs:
-                            yield at, (compose(og_p, op_f), D.op(compose(og_p, f)))
+                            yield at, (compose(og_p, op_f), op(compose(og_p, f)))
 
     return LawReport(f"noiter:{D.name}", universe.describe(), [
         compare("op-unit", ax_unit()),
@@ -271,29 +270,25 @@ def algebra_to_monoidal(D: DistLawAlgebra, universe: Optional[TestUniverse] = No
     return DistLaw(D.name, D.T, D.P, lam)
 
 
+def _alpha_extension(D: DistLawAlgebra) -> Callable[[FinFn], FinFn]:
+    """f: X -> PTY goes to alpha_Y after T(f): TX -> PTY, with alpha's
+    component at each Y built once for the lifetime of the operator."""
+    T = D.T.functor
+    alpha_at = components_by_image(D.alpha, compose_functors(D.P.functor, T))
+
+    def ext(f: FinFn) -> FinFn:
+        dom = apply_obj(T, f.dom)
+        alpha_fn = alpha_at(f)
+        return FinFn._raw(dom, f.cod, {e: alpha_fn(apply_elem(T, f, e)) for e in dom.elements})
+
+    return ext
+
+
 def algebra_to_noiter(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> DistLawNoIteration:
     """op(f) = alpha after T(f)."""
     if universe is not None:
         _require(check_algebra(D, universe), f"algebra form of {D.name}")
-    T = D.T.functor
-    PT = compose_functors(D.P.functor, T)
-    alpha = D.alpha
-
-    def alpha_fn_for(f: FinFn) -> Callable[[Element], Element]:
-        if not alpha.needs_object:
-            return alpha.rule(f.dom)
-        for Y in alpha.tabulated_objects or ():
-            if apply_obj(PT, Y) == f.cod:
-                return alpha.component_fn(Y)
-        raise ComponentUnavailable(f"no alpha component with PT(Y) = {f.cod!r}")
-
-    def op(f: FinFn) -> FinFn:
-        dom = apply_obj(T, f.dom)
-        alpha_fn = alpha_fn_for(f)
-        return FinFn._raw(dom, f.cod, {e: alpha_fn(apply_elem(T, f, e)) for e in dom.elements})
-
-    P_ext = monoidal_to_extensive(D.P)
-    return DistLawNoIteration(D.name, D.T, P_ext, op)
+    return DistLawNoIteration(D.name, D.T, monoidal_to_extensive(D.P), _alpha_extension(D))
 
 
 def noiter_to_algebra(
@@ -357,9 +352,7 @@ def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
         _require(check_algebra(D, universe), f"algebra form of {D.name}")
     T = D.T.functor
     u, eta = D.T.unit, D.P.unit
-    alpha = D.alpha
-    P_ext = monoidal_to_extensive(D.P)
-    kl = kleisli(P_ext)
+    kl = kleisli(monoidal_to_extensive(D.P))
 
     def unit_at(X: FinSet) -> FinFn:
         tx = apply_obj(T, X)
@@ -367,16 +360,11 @@ def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
         eta_table = eta.component(tx)
         return compose(eta_table, u_table)
 
-    def ext(f: FinFn) -> FinFn:
-        dom = apply_obj(T, f.dom)
-        alpha_fn = alpha.component_fn(f.dom)
-        return FinFn._raw(dom, f.cod, {e: alpha_fn(apply_elem(T, f, e)) for e in dom.elements})
-
     return MonadExtensive(
         f"kleisli-extension[{D.name}]",
         obj=lambda X: apply_obj(T, X),
         unit_at=unit_at,
-        ext=ext,
+        ext=_alpha_extension(D),
         ambient=kl,
     )
 

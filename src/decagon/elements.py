@@ -205,16 +205,20 @@ class CompositionError(ValueError):
 
 
 class FinFn:
-    """Total function between finite carriers, stored as a full table."""
+    """Total function between finite carriers, stored as a full table.
 
-    __slots__ = ("dom", "cod", "pairs", "_map", "_hash")
+    The table ``_map`` is the only copy of the entries; ``pairs`` lists them
+    in ``dom`` order.  Equality compares codomains and tables, and the hash,
+    computed on first use, is taken over the values in ``dom`` order, so two
+    equal tables built in different insertion orders hash alike.
+    """
+
+    __slots__ = ("dom", "cod", "_map", "_hash")
 
     def __init__(self, dom: FinSet, cod: FinSet, mapping):
         """``mapping``: dict, iterable of pairs, or callable on dom elements."""
         if callable(mapping):
             table = {x: mapping(x) for x in dom.elements}
-        elif isinstance(mapping, dict):
-            table = dict(mapping)
         else:
             table = dict(mapping)
         if set(table) != set(dom.elements):
@@ -226,9 +230,8 @@ class FinFn:
                 raise ValueError(f"value {y!r} for {x!r} is not in the codomain")
         self.dom = dom
         self.cod = cod
-        self.pairs = tuple((x, table[x]) for x in dom.elements)
         self._map = table
-        self._hash = hash((dom, cod, self.pairs))
+        self._hash = None
 
     @classmethod
     def _raw(cls, dom: FinSet, cod: FinSet, table: dict) -> "FinFn":
@@ -237,25 +240,30 @@ class FinFn:
         fn = cls.__new__(cls)
         fn.dom = dom
         fn.cod = cod
-        fn.pairs = tuple((x, table[x]) for x in dom.elements)
         fn._map = table
-        fn._hash = hash((dom, cod, fn.pairs))
+        fn._hash = None
         return fn
+
+    @property
+    def pairs(self) -> tuple[tuple[Element, Element], ...]:
+        """The entries ``(x, f(x))`` in ``dom`` order."""
+        m = self._map
+        return tuple((x, m[x]) for x in self.dom.elements)
 
     def __call__(self, x: Element) -> Element:
         return self._map[x]
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, FinFn)
-            and self._hash == other._hash
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.pairs == other.pairs
+            isinstance(other, FinFn) and self.cod == other.cod and self._map == other._map
         )
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            m = self._map
+            h = self._hash = hash((self.dom, self.cod, tuple(m[x] for x in self.dom.elements)))
+        return h
 
     def __repr__(self):
         body = ",".join(f"{element_repr(x)}->{element_repr(y)}" for x, y in self.pairs)

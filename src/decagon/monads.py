@@ -48,7 +48,7 @@ from .functors import (
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells
 from .report import LawReport, TestUniverse, compare
-from .transforms import ComponentUnavailable, NatTrans, formula, identity_nat, tabulated
+from .transforms import NatTrans, components_by_image, formula, identity_nat, tabulated
 
 
 @dataclass
@@ -128,20 +128,38 @@ def _composed(at: str, sides: Callable[[], tuple]) -> tuple:
         return at, exc
 
 
+def memoised(op: Callable[[FinFn], FinFn]) -> Callable[[FinFn], FinFn]:
+    """``op`` with a memo from each distinct ``FinFn`` to its image; the
+    memo lives as long as the returned function."""
+    memo: dict[FinFn, FinFn] = {}
+
+    def cached(f: FinFn) -> FinFn:
+        out = memo.get(f)
+        if out is None:
+            out = memo[f] = op(f)
+        return out
+
+    return cached
+
+
 def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawReport:
-    """The three Kleisli-triple equations, quantified over ambient homs."""
+    """The three Kleisli-triple equations, quantified over ambient homs.
+
+    Each distinct morphism is extended once per call."""
     amb = M.ambient
+    ext = memoised(M.ext)
 
     def axiom1():
         for X in universe.objects:
+            uX = M.unit_at(X)
             for Y in universe.objects:
                 for f in amb.hom(X, M.obj(Y)):
                     yield _composed(f"f:{len(X)}->{len(Y)}",
-                                    lambda: (amb.compose(M.ext(f), M.unit_at(X)), f))
+                                    lambda: (amb.compose(ext(f), uX), f))
 
     def axiom2():
         for X in universe.objects:
-            yield f"|X|={len(X)}", (M.ext(M.unit_at(X)), amb.identity(M.obj(X)))
+            yield f"|X|={len(X)}", (ext(M.unit_at(X)), amb.identity(M.obj(X)))
 
     def axiom3():
         for X in universe.objects:
@@ -150,10 +168,10 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
                 for Z in universe.objects:
                     at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
                     for g in amb.hom(Y, M.obj(Z)):
-                        eg = M.ext(g)
+                        eg = ext(g)
                         for f in fs:
-                            yield _composed(at, lambda: (M.ext(amb.compose(eg, f)),
-                                                         amb.compose(eg, M.ext(f))))
+                            yield _composed(at, lambda: (ext(amb.compose(eg, f)),
+                                                         amb.compose(eg, ext(f))))
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
         compare("extension-unit", axiom1()),
@@ -169,21 +187,11 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 def monoidal_to_extensive(M: MonadMonoidal, ambient: Category = BASE_CATEGORY) -> MonadExtensive:
     """Extension of f: X -> TY as multiplication after T(f)."""
     T = M.functor
-    mult = M.mult
-
-    def mult_fn_for(f: FinFn) -> Callable[[Element], Element]:
-        # Formula components ignore the object; tabulated ones must locate
-        # the Y with T(Y) = f.cod among their tabulated objects.
-        if not mult.needs_object:
-            return mult.rule(f.dom)
-        for Y in mult.tabulated_objects or ():
-            if apply_obj(T, Y) == f.cod:
-                return mult.rule(Y)
-        raise ComponentUnavailable(f"no multiplication component with T(Y) = {f.cod!r}")
+    mult_at = components_by_image(M.mult, T)
 
     def ext(f: FinFn) -> FinFn:
         dom = apply_obj(T, f.dom)
-        m_fn = mult_fn_for(f)
+        m_fn = mult_at(f)
         return FinFn._raw(dom, f.cod, {e: m_fn(apply_elem(T, f, e)) for e in dom.elements})
 
     return MonadExtensive(
@@ -232,15 +240,7 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Kleis
             failing = [v.axiom for v in pre.verdicts if not v.passed]
             raise ConstructionRefused(f"extensive laws fail for {M.name}: {failing}")
     base = M.ambient
-    ext_cache: dict[FinFn, FinFn] = {}
-
-    def cached_ext(g: FinFn) -> FinFn:
-        out = ext_cache.get(g)
-        if out is None:
-            out = M.ext(g)
-            ext_cache[g] = out
-        return out
-
+    cached_ext = memoised(M.ext)
     return KleisliCat(
         name=f"kleisli({M.name})",
         hom=lambda X, Y: base.hom(X, M.obj(Y)),
@@ -259,17 +259,22 @@ def check_category(C: Category, universe: TestUniverse) -> LawReport:
             for Y in objs:
                 at = f"f:{len(X)}->{len(Y)}"
                 for f in C.hom(X, Y):
-                    yield f"{at},id-right", (C.compose(f, C.identity(X)), f)
-                    yield f"{at},id-left", (C.compose(C.identity(Y), f), f)
+                    yield _composed(f"{at},id-right", lambda: (C.compose(f, C.identity(X)), f))
+                    yield _composed(f"{at},id-left", lambda: (C.compose(C.identity(Y), f), f))
 
     def associativity():
         for X, Y, Z, W in product(objs, repeat=4):
             at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)},h:{len(Z)}->{len(W)}"
             for f in C.hom(X, Y):
                 for g in C.hom(Y, Z):
-                    gf = C.compose(g, f)
+                    # a failed g.f fails every instance it takes part in
+                    _, gf = _composed(at, lambda: C.compose(g, f))
                     for h in C.hom(Z, W):
-                        yield at, (C.compose(h, gf), C.compose(C.compose(h, g), f))
+                        if isinstance(gf, CompositionError):
+                            yield at, gf
+                        else:
+                            yield _composed(at, lambda: (C.compose(h, gf),
+                                                         C.compose(C.compose(h, g), f)))
 
     return LawReport(f"category:{C.name}", universe.describe(), [
         compare("unitality", unitality()),

@@ -1,7 +1,8 @@
 """Brute-force discovery and refutation of distributive-law candidates.
 
 Candidates are enumerated per object as raw component tables, filtered by
-naturality across all universe morphisms, then by the chosen axiom system.
+naturality across all universe morphisms, one pair of objects at a time,
+then by the chosen axiom system.
 Results at finite sizes are evidence, never theorems: a nonempty survivor
 set says nothing about larger carriers, and reports say so.
 
@@ -13,15 +14,13 @@ the exhaustive checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterator
 
 from .distlaw import DistLaw, check_algebra, check_beck, check_decagon
 from .elements import function_count, iter_functions
-from .functors import apply_obj, compose_functors
+from .functors import apply_mor, apply_obj, compose_functors
 from .monads import MonadMonoidal
 from .report import LawReport, TestUniverse
-from .transforms import check_naturality, tabulated
+from .transforms import square_failure, tabulated
 
 EVIDENCE_NOTE = (
     "finite-size evidence only: survivors at these sizes need not extend to a law"
@@ -76,12 +75,58 @@ def raw_count(spec: SearchSpec) -> int:
     return total
 
 
-def _candidates(spec: SearchSpec) -> Iterator:
+def _natural_candidates(spec: SearchSpec) -> list:
+    """The natural candidates, in the order of the raw product of the
+    per-object pools.
+
+    A naturality square for f: X -> Y involves only the components at X
+    and Y, so the constraints are pairwise.  Each object's pool keeps the
+    tables that pass their endomorphism squares; a table pair of two
+    distinct objects is compatible when it passes the squares of the
+    morphisms between them in both directions.  A depth-first walk over
+    the filtered pools, in pool order, then yields exactly the natural
+    combinations of the raw product, in its order.
+    """
     src, tgt = _src_tgt(spec)
-    pools = [list(iter_functions(apply_obj(src, X), apply_obj(tgt, X))) for X in spec.universe.objects]
-    for combo in product(*pools):
-        tables = dict(zip(spec.universe.objects, combo))
-        yield tabulated(src, tgt, tables, name="candidate")
+    objects = spec.universe.objects
+    index = {X: i for i, X in enumerate(objects)}
+    squares: dict[tuple[int, int], list] = {}
+    for f in spec.universe.all_morphisms():
+        key = (index[f.dom], index[f.cod])
+        squares.setdefault(key, []).append((apply_mor(src, f), apply_mor(tgt, f)))
+
+    def passes(key, a, b) -> bool:
+        return all(square_failure(sf, tf, a, b) is None for sf, tf in squares.get(key, ()))
+
+    pools = [
+        [t for t in iter_functions(apply_obj(src, X), apply_obj(tgt, X)) if passes((i, i), t, t)]
+        for i, X in enumerate(objects)
+    ]
+    # compatible[j][i]: for i < j, the index pairs (a, b) of pools i and j
+    # whose tables pass every square between objects i and j
+    compatible = [
+        {i: {(a, b) for a, ta in enumerate(pools[i]) for b, tb in enumerate(pools[j])
+             if passes((i, j), ta, tb) and passes((j, i), tb, ta)}
+         for i in range(j) if (i, j) in squares or (j, i) in squares}
+        for j in range(len(objects))
+    ]
+
+    natural = []
+    chosen: list[int] = []
+
+    def walk(j: int) -> None:
+        if j == len(objects):
+            tables = {X: pools[i][a] for i, (X, a) in enumerate(zip(objects, chosen))}
+            natural.append(tabulated(src, tgt, tables, name="candidate"))
+            return
+        for b in range(len(pools[j])):
+            if all((chosen[i], b) in pairs for i, pairs in compatible[j].items()):
+                chosen.append(b)
+                walk(j + 1)
+                chosen.pop()
+
+    walk(0)
+    return natural
 
 
 def _axiom_systems(spec: SearchSpec) -> list[tuple[str, callable]]:
@@ -116,11 +161,7 @@ def enumerate_candidates(spec: SearchSpec) -> SearchResult:
     if total > spec.budget:
         raise BudgetExceeded(f"raw candidate count {total} exceeds budget {spec.budget}")
 
-    morphisms = list(spec.universe.all_morphisms())
-    natural = []
-    for cand in _candidates(spec):
-        if check_naturality(cand, morphisms) is None:
-            natural.append(cand)
+    natural = _natural_candidates(spec)
 
     systems = _axiom_systems(spec)
     per_axiom: dict[str, int] = {}

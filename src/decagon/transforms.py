@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .elements import Element, FinFn, FinSet, compose
+from .elements import Element, FinFn, FinSet
 from .functors import FunctorExpr, apply_mor, apply_obj
 
 ComponentRule = Callable[[FinSet], Callable[[Element], Element]]
@@ -161,20 +161,64 @@ def identity_map(F: FunctorExpr, X: FinSet, cap: int) -> dict[Element, Element]:
     return {e: e for e in apply_obj(F, X).elements}
 
 
+def square_failure(
+    src_f: FinFn, tgt_f: FinFn, at_dom: FinFn, at_cod: FinFn
+) -> Optional[Element]:
+    """First element x, in the order of ``src_f``'s domain, where the
+    naturality square ``tgt_f . at_dom == at_cod . src_f`` fails, if any.
+
+    ``src_f`` and ``tgt_f`` are F(f) and G(f) for some f: X -> Y, and
+    ``at_dom``, ``at_cod`` the components F(X) -> G(X) and F(Y) -> G(Y).
+    """
+    sm, tm, am, bm = src_f._map, tgt_f._map, at_dom._map, at_cod._map
+    for x in src_f.dom.elements:
+        if tm[am[x]] is not bm[sm[x]]:
+            return x
+    return None
+
+
 def check_naturality(
     nt: NatTrans, morphisms: Iterable[FinFn]
 ) -> Optional[tuple[FinFn, Element]]:
     """First naturality failure of nt against the given morphisms, if any."""
     for f in morphisms:
         try:
-            src_f = apply_mor(nt.src, f)
-            tgt_f = apply_mor(nt.tgt, f)
-            left = compose(tgt_f, nt.component(f.dom))
-            right = compose(nt.component(f.cod), src_f)
+            at_dom = nt.component(f.dom)
+            at_cod = nt.component(f.cod)
         except ComponentUnavailable:
             continue
-        if left != right:
-            for x in left.dom.elements:
-                if left(x) != right(x):
-                    return (f, x)
+        x = square_failure(apply_mor(nt.src, f), apply_mor(nt.tgt, f), at_dom, at_cod)
+        if x is not None:
+            return (f, x)
     return None
+
+
+def components_by_image(
+    nt: NatTrans, F: FunctorExpr
+) -> Callable[[FinFn], Callable[[Element], Element]]:
+    """Lookup of nt's component at the object Y with F(Y) = f.cod, for the
+    f: X -> F(Y) that extension operators take.
+
+    Formula components ignore the object, so one is built and shared;
+    tabulated ones locate Y among their tabulated objects.  Each component
+    is built once and kept for the lifetime of the lookup, so the memo of
+    its compiled action is reused across calls.
+    """
+    memo: dict = {}
+
+    def at(f: FinFn) -> Callable[[Element], Element]:
+        key = f.cod if nt.needs_object else None
+        fn = memo.get(key)
+        if fn is None:
+            if not nt.needs_object:
+                fn = nt.component_fn(f.dom)
+            else:
+                Y = next((Y for Y in nt.tabulated_objects or () if apply_obj(F, Y) == f.cod), None)
+                if Y is None:
+                    raise ComponentUnavailable(
+                        f"{nt.name or 'family'} has no component at Y with {F!r}(Y) = {f.cod!r}")
+                fn = nt.component_fn(Y)
+            memo[key] = fn
+        return fn
+
+    return at

@@ -357,6 +357,39 @@ def test_extend_to_kleisli_identity_p_recovers_t():
             assert ext.ext(f) == direct.ext(f)
 
 
+def test_extend_to_kleisli_takes_tabulated_alpha_at_the_target_object():
+    from decagon.distlaw import extend_to_kleisli
+
+    law = exception_over_powerset()
+    D = monoidal_to_algebra(law)
+    by_formula = extend_to_kleisli(D)
+    by_table = extend_to_kleisli(noiter_to_algebra(algebra_to_noiter(D), U2, law.P))
+    a, b = Atom("a"), Atom("b")
+    f = FinFn(atoms("a"), apply_obj(law.lam.tgt, atoms("a", "b")), {a: Subset((Inl(a), Inl(b)))})
+    assert by_table.ext(f) == by_formula.ext(f)
+    for X in U2.objects:
+        for Y in U2.objects:
+            for f in by_formula.ambient.hom(X, by_formula.obj(Y)):
+                assert by_table.ext(f) == by_formula.ext(f)
+
+
+@pytest.mark.parametrize("law", [exception_over_powerset(), writer_over_powerset()],
+                         ids=lambda law: law.name)
+def test_check_noiter_applies_op_once_per_morphism(law):
+    from decagon.distlaw import DistLawNoIteration
+
+    good = algebra_to_noiter(monoidal_to_algebra(law))
+    calls = []
+
+    def op(f):
+        calls.append(f)
+        return good.op(f)
+
+    report = check_noiter(DistLawNoIteration(law.name, good.T, good.P, op), U2)
+    assert report.ok
+    assert calls and len(calls) == len(set(calls))
+
+
 # --- mixed laws --------------------------------------------------------------
 
 

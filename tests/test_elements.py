@@ -179,3 +179,15 @@ def test_fn_equal_two_builds():
     f2 = FinFn(X, X, [(Atom("b"), Atom("a")), (Atom("a"), Atom("b"))])
     assert f1 == f2
     assert f1 != identity(X)
+
+
+@given(st.permutations([0, 1, 2]), st.lists(st.sampled_from("abc"), min_size=3, max_size=3))
+def test_fn_table_order_does_not_reach_equality_hash_or_pairs(order, values):
+    X = atoms("a", "b", "c")
+    entries = [(X.elements[i], Atom(values[i])) for i in range(3)]
+    built = FinFn(X, X, [entries[i] for i in order])
+    raw = FinFn._raw(X, X, dict(reversed(entries)))
+    assert built == raw and hash(built) == hash(raw)
+    assert built.pairs == raw.pairs == tuple(entries)
+    wider = FinFn(X, atoms("a", "b", "c", "d"), entries)
+    assert wider != built and wider.pairs == built.pairs

@@ -136,6 +136,68 @@ def test_junk_codomain_extension_fails_every_axiom_with_witness():
     }
 
 
+def _junk_kleisli(junk_ext):
+    from decagon.monads import MonadExtensive
+
+    good = monoidal_to_extensive(exception_monad(["e"]))
+    return kleisli(MonadExtensive("junk", good.obj, good.unit_at, lambda f: junk_ext(good.ext(f))))
+
+
+def _junk_codomain(g):
+    return FinFn(g.dom, FinSet(g.cod.elements + (Atom("junk"),)), g.pairs)
+
+
+def _junk_domain(g):
+    junk = Atom("junk")
+    return FinFn(FinSet(g.dom.elements + (junk,)), g.cod, g.pairs + ((junk, g.cod.elements[0]),))
+
+
+_CODOMAIN_JUNK = {"element": "codomain", "lhs": "FinSet({junk,inr(e)})",
+                  "rhs": "FinSet({inr(e)})"}
+_CANNOT_COMPOSE_AFTER_JUNK = {"element": "composition", "lhs": "codomain FinSet({junk,inr(e)})",
+                              "rhs": "domain FinSet({inr(e)})"}
+_CANNOT_COMPOSE_INTO_JUNK = {"element": "composition", "lhs": "codomain FinSet({inr(e)})",
+                             "rhs": "domain FinSet({junk,inr(e)})"}
+
+
+@pytest.mark.parametrize("junk_ext,unitality,associativity", [
+    # a junk codomain reaches the unit laws only as a wrong codomain, and
+    # h . (g . f) as a failed composition
+    (_junk_codomain, _CODOMAIN_JUNK, _CANNOT_COMPOSE_AFTER_JUNK),
+    # a junk domain already breaks f . id and g . f, which every
+    # associativity instance over f and g reuses
+    (_junk_domain, _CANNOT_COMPOSE_INTO_JUNK, _CANNOT_COMPOSE_INTO_JUNK),
+])
+def test_check_category_fails_bad_compositions_with_witness(junk_ext, unitality, associativity):
+    report = check_category(_junk_kleisli(junk_ext), TestUniverse.sizes(0))
+    rows = {v.axiom: (v.passed, v.checked, v.witness.as_dict()) for v in report.verdicts}
+    assert rows == {
+        "unitality": (False, 2, {"at": "f:0->0,id-right", **unitality}),
+        "associativity": (False, 1, {"at": "f:0->0,g:0->0,h:0->0", **associativity}),
+    }
+
+
+def _counting(op):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return op(f)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("name", ["exception", "powerset", "writer"])
+def test_check_monad_extensive_extends_each_morphism_once(name):
+    from decagon.monads import MonadExtensive
+
+    good = monoidal_to_extensive(builtin_monads()[name])
+    ext, calls = _counting(good.ext)
+    report = check_monad_extensive(MonadExtensive(name, good.obj, good.unit_at, ext), U2)
+    assert report.ok
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_compare_names_a_domain_mismatch():
     from decagon.report import compare
 

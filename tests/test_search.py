@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 
+from decagon import search
 from decagon.distlaw import exception_over_powerset
-from decagon.elements import FinFn, atoms
+from decagon.elements import FinFn, atoms, iter_functions
 from decagon.functors import apply_obj, compose_functors
 from decagon.monads import (
     TestUniverse,
+    builtin_monads,
     exception_monad,
     identity_monad,
     powerset_monad,
@@ -17,7 +21,45 @@ from decagon.search import (
     raw_count,
     refute,
 )
-from decagon.transforms import tabulated
+from decagon.transforms import check_naturality, tabulated
+
+
+def reference_natural(spec):
+    """Every combination of the raw product, in order, filtered by a whole
+    naturality check per candidate."""
+    src, tgt = search._src_tgt(spec)
+    objects = spec.universe.objects
+    pools = [list(iter_functions(apply_obj(src, X), apply_obj(tgt, X))) for X in objects]
+    morphisms = list(spec.universe.all_morphisms())
+    candidates = (tabulated(src, tgt, dict(zip(objects, combo)), name="candidate")
+                  for combo in product(*pools))
+    return [c for c in candidates if check_naturality(c, morphisms) is None]
+
+
+def tables(candidates, universe):
+    return [[c.component(X).pairs for X in universe.objects] for c in candidates]
+
+
+@pytest.mark.parametrize("outer,inner,max_size", [
+    ("maybe", "exception", 2),
+    ("exception", "identity", 3),
+    ("exception", "powerset", 1),
+    ("writer", "powerset", 1),
+])
+def test_pairwise_search_matches_per_candidate_reference(outer, inner, max_size):
+    monads = builtin_monads()
+    spec = SearchSpec(monads[outer], monads[inner], form="all",
+                      universe=TestUniverse.sizes(max_size))
+    expected = reference_natural(spec)
+    assert tables(search._natural_candidates(spec), spec.universe) == \
+        tables(expected, spec.universe)
+    res = enumerate_candidates(spec)
+    assert res.natural == len(expected)
+    survivors = {}
+    for name, check in search._axiom_systems(spec):
+        survivors[name] = [c for c in expected if check(c).no_counterexample]
+    assert res.per_axiom == {name: len(good) for name, good in survivors.items()}
+    assert tables(res.survivors, spec.universe) == tables(survivors["beck"], spec.universe)
 
 
 def test_exception_over_identity_unique_survivor():
