@@ -39,7 +39,6 @@ from .functors import (
     apply_elem,
     apply_mor,
     apply_obj,
-    carrier_size,
     compose_functors,
 )
 from .transforms import ComponentUnavailable, NatTrans, OversizeCarrier, formula, tabulated

@@ -220,25 +220,6 @@ def apply_mor(F: FunctorExpr, f: FinFn) -> FinFn:
     return FinFn._raw(dom, cod, {e: apply_elem(F, f, e) for e in dom.elements})
 
 
-def carrier_size(F: FunctorExpr, n: int) -> int:
-    """|F(X)| as a function of |X| = n, computed arithmetically."""
-    if isinstance(F, Id):
-        return n
-    if isinstance(F, Const):
-        return len(F.value)
-    if isinstance(F, Sum):
-        return carrier_size(F.left, n) + carrier_size(F.right, n)
-    if isinstance(F, Prod):
-        return carrier_size(F.left, n) * carrier_size(F.right, n)
-    if isinstance(F, Power):
-        return 2 ** n
-    if isinstance(F, Exp):
-        return n ** len(F.exponent)
-    if isinstance(F, Comp):
-        return carrier_size(F.outer, carrier_size(F.inner, n))
-    raise TypeError(f"not a FunctorExpr: {F!r}")
-
-
 def size_within(F: FunctorExpr, n: int, cap: int) -> int:
     """|F(X)| saturated at cap + 1, without forming huge exponentials.
 

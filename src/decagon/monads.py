@@ -48,7 +48,14 @@ from .functors import (
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells
 from .report import LawReport, TestUniverse, compare
-from .transforms import NatTrans, components_by_image, formula, identity_nat, tabulated
+from .transforms import (
+    ComponentUnavailable,
+    NatTrans,
+    components_by_image,
+    formula,
+    identity_nat,
+    tabulated,
+)
 
 
 @dataclass
@@ -120,10 +127,13 @@ def check_comonad(C: ComonadMonoidal, universe: TestUniverse) -> LawReport:
 
 
 def _composed(at: str, sides: Callable[[], tuple]) -> tuple:
-    """``(at, sides())``, or ``(at, error)`` when the sides do not compose,
-    which ``compare`` counts as a failing instance."""
+    """``(at, sides())``; ``(at, None)`` when a component the sides need is
+    unavailable, which ``compare`` counts as skipped, or ``(at, error)``
+    when the sides do not compose, which it counts as a failing instance."""
     try:
         return at, sides()
+    except ComponentUnavailable:
+        return at, None
     except CompositionError as exc:
         return at, exc
 
@@ -145,7 +155,8 @@ def memoised(op: Callable[[FinFn], FinFn]) -> Callable[[FinFn], FinFn]:
 def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawReport:
     """The three Kleisli-triple equations, quantified over ambient homs.
 
-    Each distinct morphism is extended once per call."""
+    Each distinct morphism is extended once per call; an instance that
+    needs an unavailable component is skipped."""
     amb = M.ambient
     ext = memoised(M.ext)
 
@@ -159,7 +170,8 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 
     def axiom2():
         for X in universe.objects:
-            yield f"|X|={len(X)}", (ext(M.unit_at(X)), amb.identity(M.obj(X)))
+            yield _composed(f"|X|={len(X)}",
+                            lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
 
     def axiom3():
         for X in universe.objects:
@@ -168,10 +180,15 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
                 for Z in universe.objects:
                     at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
                     for g in amb.hom(Y, M.obj(Z)):
-                        eg = ext(g)
+                        # an unavailable or failed ext(g) skips or fails
+                        # every instance it takes part in
+                        _, eg = _composed(at, lambda: ext(g))
                         for f in fs:
-                            yield _composed(at, lambda: (ext(amb.compose(eg, f)),
-                                                         amb.compose(eg, ext(f))))
+                            if isinstance(eg, FinFn):
+                                yield _composed(at, lambda: (ext(amb.compose(eg, f)),
+                                                             amb.compose(eg, ext(f))))
+                            else:
+                                yield at, eg
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
         compare("extension-unit", axiom1()),

@@ -51,9 +51,6 @@ class Signature:
                     f"axiom {name} is not parallel:\n  lhs {bl[0]} => {bl[1]}\n  rhs {br[0]} => {br[1]}"
                 )
 
-    def axiom(self, name: str) -> tuple[PastingTerm, PastingTerm]:
-        return self.axioms[name]
-
 
 class SignatureBuilder:
     """Accumulates generators and axioms; interchanger cells self-register."""
@@ -63,11 +60,6 @@ class SignatureBuilder:
         self.arrows: dict[str, ArrowGen] = {}
         self.cells: dict[str, CellGen] = {}
         self.axioms: dict[str, tuple[PastingTerm, PastingTerm]] = {}
-
-    def arrow(self, name: str, src: str, tgt: str) -> ArrowGen:
-        gen = ArrowGen(name, Word.of(src), Word.of(tgt))
-        self.arrows[name] = gen
-        return gen
 
     def atom(self, prefix: str, gen_name: str, suffix: str) -> ArrowAtom:
         return ArrowAtom(Word.of(prefix), self.arrows[gen_name], Word.of(suffix))
@@ -81,9 +73,6 @@ class SignatureBuilder:
         gen = CellGen(name, src, tgt, invertible)
         self.cells[name] = gen
         return gen
-
-    def axiom(self, name: str, lhs: PastingTerm, rhs: PastingTerm) -> None:
-        self.axioms[name] = (lhs, rhs)
 
     def interchanger(self, left: ArrowGen, middle: Word, right: ArrowGen) -> CellGen:
         """The square that slides two generators past each other across a

@@ -124,10 +124,3 @@ def cells_used(t: PastingTerm) -> set[str]:
         b = t.lower if isinstance(t, VComp) else t.second
         return cells_used(a) | cells_used(b)
     return set()
-
-
-def vcomp_all(*terms: PastingTerm) -> PastingTerm:
-    out = terms[0]
-    for t in terms[1:]:
-        out = VComp(out, t)
-    return out

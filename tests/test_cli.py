@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -147,6 +148,19 @@ def test_pasting_check_single_axiom(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert all(v["passed"] for v in json.loads(out)["verdicts"])
+
+
+def test_pasting_check_builtin_signature_is_the_shipped_asset(capsys):
+    asset = pathlib.Path(__file__).resolve().parents[1] / "src" / "decagon" / "pasting" \
+        / "assets" / "builtin_signature.sexp"
+    args = ["pasting-check", "--axiom", "all", "--max-size", "1"]
+    outputs = []
+    for extra in ([], ["--signature", str(asset)]):
+        code = run(args + extra)
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
 
 
 def test_byte_identical_reports():

@@ -390,6 +390,27 @@ def test_check_noiter_applies_op_once_per_morphism(law):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_tabulated_lambda_law_skips_unavailable_components():
+    # a search survivor is tabulated on sizes <= 1 only; the converters keep
+    # its objects, and an instance needing a component elsewhere is skipped
+    from decagon.distlaw import extend_to_kleisli
+    from decagon.search import SearchSpec, enumerate_candidates
+
+    T, P = builtin_monads()["exception"], builtin_monads()["powerset"]
+    survivor = enumerate_candidates(SearchSpec(T, P, universe=U1)).survivors[0]
+    alg = monoidal_to_algebra(DistLaw("survivor", T, P, survivor))
+    assert alg.alpha.tabulated_objects == survivor.tabulated_objects
+    assert algebra_to_monoidal(alg).lam.tabulated_objects == survivor.tabulated_objects
+    by_formula = monoidal_to_algebra(exception_over_powerset())
+    for check in (lambda D: check_noiter(algebra_to_noiter(D), U1),
+                  lambda D: check_monad_extensive(extend_to_kleisli(D), U1)):
+        report, full = check(alg), check(by_formula)
+        assert report.ok, report.summary()
+        for v, w in zip(report.verdicts, full.verdicts):
+            assert v.checked > 0 and v.skipped > 0
+            assert v.checked + v.skipped == w.checked
+
+
 # --- mixed laws --------------------------------------------------------------
 
 

@@ -9,8 +9,8 @@ from decagon.functors import (
     Sum,
     apply_mor,
     apply_obj,
-    carrier_size,
     compose_functors,
+    size_within,
 )
 
 SMALL = [atoms(), atoms("a"), atoms("a", "b")]
@@ -27,9 +27,17 @@ FUNCTORS = [
 
 
 def test_carrier_size_matches_enumeration():
+    # size_within is exact up to its cap and saturates at cap + 1 above it
     for F in FUNCTORS:
         for X in SMALL:
-            assert len(apply_obj(F, X)) == carrier_size(F, len(X))
+            n = len(apply_obj(F, X))
+            assert size_within(F, len(X), n) == n
+            assert size_within(F, len(X), n + 5) == n
+            if n:
+                cap = n - 1
+                assert size_within(F, len(X), cap) == cap + 1
+    # a tower far above the cap saturates without being computed
+    assert size_within(Comp(Power(), Comp(Power(), Power())), 10, 1000) == 1001
 
 
 def test_functoriality_identity_and_composition():
