@@ -24,18 +24,17 @@ from .elements import (
     Inl,
     Pair,
     Subset,
-    all_functions,
     compose,
     identity,
     subset,
 )
-from .functors import Id, apply_elem, apply_obj, compiled_action, compose_functors
+from .functors import Id, apply_obj, compiled_action, compose_functors
 from .monads import (
     ComonadMonoidal,
     ConstructionRefused,
     MonadExtensive,
     MonadMonoidal,
-    _composed,
+    _instances,
     builtin_monads,
     kleisli,
     memoised,
@@ -44,8 +43,8 @@ from .monads import (
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
-from .report import LawReport, TestUniverse, compare
-from .transforms import NatTrans, components_by_image, formula, tabulated
+from .report import LawReport, TestUniverse, compare, quantify
+from .transforms import NatTrans, extension, formula, tabulated
 
 
 @dataclass
@@ -158,43 +157,33 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
     Each distinct morphism goes through the operator, and each op(g)
     through P's extension, once per call; an instance that needs an
     unavailable component is skipped."""
-    T = D.T
-    P = D.P
-    TF = T.functor
+    T, P, TF = D.T, D.P, D.T.functor
     op = memoised(D.op)
     op_p = memoised(lambda g: P.ext(op(g)))
 
-    def homs(X: FinSet, Y: FinSet) -> list[FinFn]:
-        return all_functions(X, P.obj(apply_obj(TF, Y)))
+    def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
+        return X, P.obj(apply_obj(TF, Y))
 
     def ax_unit():
-        for X in universe.objects:
+        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)]):
             uX = T.unit.component(X)
-            for Y in universe.objects:
-                for f in homs(X, Y):
-                    yield _composed(f"f:{len(X)}->{len(Y)}", lambda: (compose(op(f), uX), f))
+            yield from _instances(f"f:{len(X)}->{len(Y)}", fs,
+                                  lambda f: (compose(op(f), uX), f))
 
     def ax_eta():
-        for X in universe.objects:
-            TX = apply_obj(TF, X)
-            etaTX = P.unit_at(TX)
-            mX = T.mult.component(X)
-            yield _composed(f"|X|={len(X)}", lambda: (op(etaTX), compose(etaTX, mX)))
+        for (X,), fs in quantify(universe, "X", lambda X: []):
+            etaTX = P.unit_at(apply_obj(TF, X))
+            yield from _instances(f"|X|={len(X)}", fs,
+                                  lambda: (op(etaTX), compose(etaTX, T.mult.component(X))))
+
+    def op_composition(g: FinFn, f: FinFn) -> tuple:
+        og_p = op_p(g)
+        return compose(og_p, op(f)), op(compose(og_p, f))
 
     def ax_comp():
-        for X in universe.objects:
-            for Y in universe.objects:
-                fs = homs(X, Y)
-                for Z in universe.objects:
-                    at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
-                    for g in homs(Y, Z):
-                        _, og_p = _composed(at, lambda: op_p(g))
-                        for f in fs:
-                            if isinstance(og_p, FinFn):
-                                yield _composed(at, lambda: (compose(og_p, op(f)),
-                                                             op(compose(og_p, f))))
-                            else:
-                                yield at, og_p
+        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)]):
+            yield from _instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
+                                  op_composition)
 
     return LawReport(f"noiter:{D.name}", universe.describe(), [
         compare("op-unit", ax_unit()),
@@ -280,25 +269,12 @@ def algebra_to_monoidal(D: DistLawAlgebra, universe: Optional[TestUniverse] = No
     return DistLaw(D.name, D.T, D.P, lam)
 
 
-def _alpha_extension(D: DistLawAlgebra) -> Callable[[FinFn], FinFn]:
-    """f: X -> PTY goes to alpha_Y after T(f): TX -> PTY, with alpha's
-    component at each Y built once for the lifetime of the operator."""
-    T = D.T.functor
-    alpha_at = components_by_image(D.alpha, compose_functors(D.P.functor, T))
-
-    def ext(f: FinFn) -> FinFn:
-        dom = apply_obj(T, f.dom)
-        alpha_fn = alpha_at(f)
-        return FinFn._raw(dom, f.cod, {e: alpha_fn(apply_elem(T, f, e)) for e in dom.elements})
-
-    return ext
-
-
 def algebra_to_noiter(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> DistLawNoIteration:
     """op(f) = alpha after T(f)."""
     if universe is not None:
         _require(check_algebra(D, universe), f"algebra form of {D.name}")
-    return DistLawNoIteration(D.name, D.T, monoidal_to_extensive(D.P), _alpha_extension(D))
+    return DistLawNoIteration(D.name, D.T, monoidal_to_extensive(D.P),
+                              extension(D.alpha, D.T.functor))
 
 
 def noiter_to_algebra(
@@ -374,7 +350,7 @@ def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
         f"kleisli-extension[{D.name}]",
         obj=lambda X: apply_obj(T, X),
         unit_at=unit_at,
-        ext=_alpha_extension(D),
+        ext=extension(D.alpha, D.T.functor),
         ambient=kl,
     )
 

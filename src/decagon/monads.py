@@ -14,8 +14,7 @@ grammar stays closed under iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .elements import (
     Atom,
@@ -41,17 +40,16 @@ from .functors import (
     Power,
     Prod,
     Sum,
-    apply_elem,
     apply_obj,
     compose_functors,
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells
-from .report import LawReport, TestUniverse, compare
+from .report import LawReport, TestUniverse, compare, quantify
 from .transforms import (
     ComponentUnavailable,
     NatTrans,
-    components_by_image,
+    extension,
     formula,
     identity_nat,
     tabulated,
@@ -78,18 +76,20 @@ class ComonadMonoidal:
 class Category:
     """Ambient-category interface: homs as FinFns with a chosen composition.
 
-    ``hom(X, Y)`` enumerates the morphisms X -> Y as concrete function
-    tables (for a Kleisli category these are functions into P applied to
-    the target).
+    ``hom(X, Y)`` is the functions X -> ``obj(Y)`` as concrete tables (for
+    a Kleisli category, functions into P applied to the target).
     """
 
     name: str
-    hom: Callable[[FinSet, FinSet], list[FinFn]]
+    obj: Callable[[FinSet], FinSet]
     compose: Callable[[FinFn, FinFn], FinFn]
     identity: Callable[[FinSet], FinFn]
 
+    def hom(self, X: FinSet, Y: FinSet) -> list[FinFn]:
+        return all_functions(X, self.obj(Y))
 
-BASE_CATEGORY = Category("finset", all_functions, compose, identity)
+
+BASE_CATEGORY = Category("finset", lambda X: X, compose, identity)
 
 
 @dataclass
@@ -126,16 +126,27 @@ def check_comonad(C: ComonadMonoidal, universe: TestUniverse) -> LawReport:
     return check_cells(f"comonad:{C.name}", COMONAD_CELLS, interp, universe, mixed_signature())
 
 
-def _composed(at: str, sides: Callable[[], tuple]) -> tuple:
-    """``(at, sides())``; ``(at, None)`` when a component the sides need is
-    unavailable, which ``compare`` counts as skipped, or ``(at, error)``
-    when the sides do not compose, which it counts as a failing instance."""
+def _composed(at: str, sides: Callable[..., tuple], *args) -> tuple:
+    """``(at, sides(*args))``; ``(at, None)``, which ``compare`` counts as
+    skipped, when a component the sides need is unavailable, or
+    ``(at, error)``, a failing instance, when the sides do not compose."""
     try:
-        return at, sides()
+        return at, sides(*args)
     except ComponentUnavailable:
         return at, None
     except CompositionError as exc:
         return at, exc
+
+
+def _instances(at: str, morphisms: Optional[Iterator[tuple]],
+               sides: Callable[..., tuple]) -> Iterator[tuple]:
+    """``_composed(at, sides, *fs)`` per tuple ``fs`` of ``morphisms``; one
+    skipped instance when a hom-set was over the cap (``morphisms`` None)."""
+    if morphisms is None:
+        yield at, None
+        return
+    for fs in morphisms:
+        yield _composed(at, sides, *fs)
 
 
 def memoised(op: Callable[[FinFn], FinFn]) -> Callable[[FinFn], FinFn]:
@@ -160,40 +171,33 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
     amb = M.ambient
     ext = memoised(M.ext)
 
-    def axiom1():
-        for X in universe.objects:
+    def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
+        return X, amb.obj(M.obj(Y))
+
+    def extension_unit():
+        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)]):
             uX = M.unit_at(X)
-            for Y in universe.objects:
-                for f in amb.hom(X, M.obj(Y)):
-                    yield _composed(f"f:{len(X)}->{len(Y)}",
-                                    lambda: (amb.compose(ext(f), uX), f))
+            yield from _instances(f"f:{len(X)}->{len(Y)}", fs,
+                                  lambda f: (amb.compose(ext(f), uX), f))
 
-    def axiom2():
-        for X in universe.objects:
-            yield _composed(f"|X|={len(X)}",
-                            lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
+    def unit_extension():
+        for (X,), fs in quantify(universe, "X", lambda X: []):
+            yield from _instances(f"|X|={len(X)}", fs,
+                                  lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
 
-    def axiom3():
-        for X in universe.objects:
-            for Y in universe.objects:
-                fs = amb.hom(X, M.obj(Y))
-                for Z in universe.objects:
-                    at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}"
-                    for g in amb.hom(Y, M.obj(Z)):
-                        # an unavailable or failed ext(g) skips or fails
-                        # every instance it takes part in
-                        _, eg = _composed(at, lambda: ext(g))
-                        for f in fs:
-                            if isinstance(eg, FinFn):
-                                yield _composed(at, lambda: (ext(amb.compose(eg, f)),
-                                                             amb.compose(eg, ext(f))))
-                            else:
-                                yield at, eg
+    def extension_composition(g: FinFn, f: FinFn) -> tuple:
+        eg = ext(g)
+        return ext(amb.compose(eg, f)), amb.compose(eg, ext(f))
+
+    def composition():
+        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)]):
+            yield from _instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
+                                  extension_composition)
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
-        compare("extension-unit", axiom1()),
-        compare("unit-extension", axiom2()),
-        compare("extension-composition", axiom3()),
+        compare("extension-unit", extension_unit()),
+        compare("unit-extension", unit_extension()),
+        compare("extension-composition", composition()),
     ])
 
 
@@ -204,18 +208,11 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 def monoidal_to_extensive(M: MonadMonoidal, ambient: Category = BASE_CATEGORY) -> MonadExtensive:
     """Extension of f: X -> TY as multiplication after T(f)."""
     T = M.functor
-    mult_at = components_by_image(M.mult, T)
-
-    def ext(f: FinFn) -> FinFn:
-        dom = apply_obj(T, f.dom)
-        m_fn = mult_at(f)
-        return FinFn._raw(dom, f.cod, {e: m_fn(apply_elem(T, f, e)) for e in dom.elements})
-
     return MonadExtensive(
         M.name,
         obj=lambda X: apply_obj(T, X),
         unit_at=lambda X: M.unit.component(X),
-        ext=ext,
+        ext=extension(M.mult, T),
         ambient=ambient,
     )
 
@@ -260,7 +257,7 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Kleis
     cached_ext = memoised(M.ext)
     return KleisliCat(
         name=f"kleisli({M.name})",
-        hom=lambda X, Y: base.hom(X, M.obj(Y)),
+        obj=lambda Y: base.obj(M.obj(Y)),
         compose=lambda g, f: base.compose(cached_ext(g), f),
         identity=lambda X: M.unit_at(X),
         monad=M,
@@ -269,29 +266,23 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Kleis
 
 def check_category(C: Category, universe: TestUniverse) -> LawReport:
     """Associativity and unitality of a finite category's composition."""
-    objs = universe.objects
-
     def unitality():
-        for X in objs:
-            for Y in objs:
-                at = f"f:{len(X)}->{len(Y)}"
-                for f in C.hom(X, Y):
-                    yield _composed(f"{at},id-right", lambda: (C.compose(f, C.identity(X)), f))
-                    yield _composed(f"{at},id-left", lambda: (C.compose(C.identity(Y), f), f))
+        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [(X, C.obj(Y))]):
+            at = f"f:{len(X)}->{len(Y)}"
+            if fs is None:
+                yield at, None
+                continue
+            right, left = f"{at},id-right", f"{at},id-left"
+            for f, in fs:
+                yield _composed(right, lambda: (C.compose(f, C.identity(X)), f))
+                yield _composed(left, lambda: (C.compose(C.identity(Y), f), f))
 
     def associativity():
-        for X, Y, Z, W in product(objs, repeat=4):
-            at = f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)},h:{len(Z)}->{len(W)}"
-            for f in C.hom(X, Y):
-                for g in C.hom(Y, Z):
-                    # a failed g.f fails every instance it takes part in
-                    _, gf = _composed(at, lambda: C.compose(g, f))
-                    for h in C.hom(Z, W):
-                        if isinstance(gf, CompositionError):
-                            yield at, gf
-                        else:
-                            yield _composed(at, lambda: (C.compose(h, gf),
-                                                         C.compose(C.compose(h, g), f)))
+        for (X, Y, Z, W), fghs in quantify(universe, "XYZW", lambda X, Y, Z, W: [
+                (X, C.obj(Y)), (Y, C.obj(Z)), (Z, C.obj(W))]):
+            yield from _instances(
+                f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)},h:{len(Z)}->{len(W)}", fghs,
+                lambda f, g, h: (C.compose(h, C.compose(g, f)), C.compose(C.compose(h, g), f)))
 
     return LawReport(f"category:{C.name}", universe.describe(), [
         compare("unitality", unitality()),

@@ -4,8 +4,9 @@ An interpretation assigns finite-set functors to the functor symbols and
 component families to the arrow generators; every cell generator then
 asserts an equation: its source-path composite equals its target-path
 composite.  Checking an axiom degenerately means checking that equation
-for every cell generator occurring in either side.  Generic-morphism
-symbols and the object symbols in their boundaries are quantified over
+for every cell generator occurring in either side.  Symbols the
+interpretation leaves without a functor are object symbols and arrows it
+leaves without a family are generic morphisms; both are quantified over
 the test universe, which is where the hom-set quantification of the
 operator-form axioms lives.
 """
@@ -13,11 +14,10 @@ operator-form axioms lives.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
-from ..elements import FinFn, FinSet, iter_functions
+from ..elements import FinFn, FinSet
 from ..functors import Const, FunctorExpr, Id, apply_obj, compose_functors
-from ..report import AxiomVerdict, LawReport, TestUniverse, compare
+from ..report import AxiomVerdict, LawReport, TestUniverse, compare, quantify
 from ..transforms import (
     ComponentUnavailable,
     NatTrans,
@@ -29,9 +29,6 @@ from ..transforms import (
 from .signature import Signature
 from .terms import CellGen, cells_used
 from .words import Path, Word
-
-OBJECT_SYMBOLS = ("X", "Y", "Z", "W")
-GENERIC_ARROWS = ("f", "g", "h")
 
 
 @dataclass
@@ -49,41 +46,22 @@ class Interpretation:
     arrows: dict[str, NatTrans]
 
     def word_functor(self, w: Word, objects: dict[str, FinSet]) -> FunctorExpr:
-        parts: list[FunctorExpr] = []
-        for s in w.symbols:
-            if s in self.functors:
-                parts.append(self.functors[s])
-            elif s in objects:
-                parts.append(Const(objects[s]))
-            else:
-                raise KeyError(f"no assignment for symbol {s!r}")
-        return compose_functors(*parts)
+        return compose_functors(*(self.functors[s] if s in self.functors else Const(objects[s])
+                                  for s in w.symbols))
 
     def path_steps(
         self, path: Path, objects: dict[str, FinSet], generics: dict[str, FinFn]
     ) -> list[Step]:
         steps = []
         for atom in path.atoms:
-            name = atom.gen.name
-            if name in self.arrows:
-                nt = self.arrows[name]
-            elif name in generics:
-                fn = generics[name]
-                nt = NatTrans(
-                    self.word_functor(atom.gen.src, objects),
-                    self.word_functor(atom.gen.tgt, objects),
-                    lambda X, _f=fn: _f,
-                    name=name,
-                )
-            else:
-                raise KeyError(f"no assignment for arrow {name!r}")
-            steps.append(
-                Step(
-                    self.word_functor(atom.prefix, objects),
-                    nt,
-                    self.word_functor(atom.suffix, objects),
-                )
-            )
+            nt = self.arrows.get(atom.gen.name)
+            if nt is None:
+                fn = generics[atom.gen.name]
+                nt = NatTrans(self.word_functor(atom.gen.src, objects),
+                              self.word_functor(atom.gen.tgt, objects),
+                              lambda X, _f=fn: _f, name=atom.gen.name)
+            steps.append(Step(self.word_functor(atom.prefix, objects), nt,
+                              self.word_functor(atom.suffix, objects)))
         return steps
 
 
@@ -113,22 +91,6 @@ def law_interpretation(law) -> Interpretation:
     return Interpretation(law.name, {"T": law.T.functor, "P": law.P.functor}, arrows)
 
 
-def _mentioned_symbols(cell: CellGen) -> tuple[set[str], set[str]]:
-    objs: set[str] = set()
-    gens: set[str] = set()
-    for path in (cell.src, cell.tgt):
-        for atom in path.atoms:
-            for w in (atom.prefix, atom.suffix, atom.gen.src, atom.gen.tgt):
-                objs.update(s for s in w.symbols if s in OBJECT_SYMBOLS)
-            if atom.gen.name in GENERIC_ARROWS:
-                gens.add(atom.gen.name)
-        objs.update(s for s in path.start.symbols if s in OBJECT_SYMBOLS)
-    return objs, gens
-
-
-_GENERIC_BOUNDARY = {"f": ("X", "Y"), "g": ("Y", "Z"), "h": ("Z", "W")}
-
-
 def _side(interp: Interpretation, path: Path, objects: dict[str, FinSet],
           generics: dict[str, FinFn], X: FinSet, cap: int) -> dict:
     """A path's composite at X; the identity map for the empty path."""
@@ -143,59 +105,46 @@ def evaluate_cell(
     interp: Interpretation,
     universe: TestUniverse,
 ) -> AxiomVerdict:
-    """Check source-composite = target-composite for one cell generator,
-    quantifying object symbols over the universe and generic arrows over
-    the corresponding hom-sets."""
-    def functor_depth(w: Word) -> int:
-        return sum(1 for s in w.symbols if s not in OBJECT_SYMBOLS)
+    """Check source-composite = target-composite for one cell generator.
 
-    words = [cell.src.start] + [a.tgt for a in cell.src.atoms + cell.tgt.atoms]
-    depth = max(functor_depth(w) for w in words)
+    The symbols the interpretation assigns no functor to are object
+    symbols, quantified over the universe; the arrows it assigns no family
+    to are generic, each ranging over the functions between the carriers
+    of its declared boundary words."""
+    atoms = cell.src.atoms + cell.tgt.atoms
+    words = [cell.src.start, cell.tgt.start] + [a.tgt for a in atoms]
+    depth = max(sum(1 for s in w.symbols if s in interp.functors) for w in words)
     if depth > universe.depth_bound:
         raise ValueError(
             f"cell {cell.name} needs functor words of length {depth}, "
             f"universe depth bound is {universe.depth_bound}"
         )
-    objs, gens = _mentioned_symbols(cell)
-    obj_names = sorted(objs | {o for g in gens for o in _GENERIC_BOUNDARY[g]})
+    symbols = {s for w in words + [a.src for a in atoms] for s in w.symbols}
+    obj_names = sorted(symbols - interp.functors.keys())
+    generics = sorted({a.gen for a in atoms if a.gen.name not in interp.arrows},
+                      key=lambda g: g.name)
 
-    def pt_of(Y: FinSet) -> FinSet:
-        PT = compose_functors(interp.functors["P"], interp.functors["T"])
-        return apply_obj(PT, Y)
-
-    def assignments():
-        """(objects, generics) pairs; generics is None where the hom-sets
-        are too large to enumerate."""
-        for combo in product(universe.objects, repeat=len(obj_names)):
-            assignment = dict(zip(obj_names, combo))
-            pools = []
-            for g in sorted(gens):
-                a, b = _GENERIC_BOUNDARY[g]
-                target = pt_of(assignment[b])
-                if len(target) ** len(assignment[a]) > 4096:
-                    yield assignment, None
-                    break
-                pools.append([(g, fn) for fn in iter_functions(assignment[a], target)])
-            else:
-                for chosen in product(*pools):
-                    yield assignment, dict(chosen)
+    def ends(X: FinSet, objects: dict[str, FinSet]) -> list[tuple[FinSet, FinSet]]:
+        return [tuple(apply_obj(interp.word_functor(w, objects), X) for w in (g.src, g.tgt))
+                for g in generics]
 
     def instances():
-        ambient_objects = universe.objects if not obj_names else universe.objects[:1]
-        for assignment, generics in assignments():
-            where = "".join(f",{k}={len(v)}" for k, v in assignment.items())
-            if generics is None:
-                yield where, None
-                continue
-            for X in ambient_objects:
-                at = f"|X|={len(X)}{where}"
-                try:
-                    left = _side(interp, cell.src, assignment, generics, X, universe.carrier_cap)
-                    right = _side(interp, cell.tgt, assignment, generics, X, universe.carrier_cap)
-                except (OversizeCarrier, ComponentUnavailable):
+        for X in universe.objects[:1] if obj_names else universe.objects:
+            for combo, morphisms in quantify(
+                    universe, obj_names, lambda *combo: ends(X, dict(zip(obj_names, combo)))):
+                objects = dict(zip(obj_names, combo))
+                at = f"|X|={len(X)}" + "".join(f",{k}={len(v)}" for k, v in objects.items())
+                if morphisms is None:
                     yield at, None
                     continue
-                yield at, (left, right)
+                for fs in morphisms:
+                    chosen = {g.name: fn for g, fn in zip(generics, fs)}
+                    try:
+                        sides = tuple(_side(interp, path, objects, chosen, X, universe.carrier_cap)
+                                      for path in (cell.src, cell.tgt))
+                    except (OversizeCarrier, ComponentUnavailable):
+                        sides = None
+                    yield at, sides
 
     return compare(f"cell:{cell.name}", instances())
 

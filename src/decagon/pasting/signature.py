@@ -247,10 +247,12 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> str:
+        if self.pos >= len(self.toks):
+            raise ValueError("unexpected end of signature")
         return self.toks[self.pos]
 
     def next(self) -> str:
-        tok = self.toks[self.pos]
+        tok = self.peek()
         self.pos += 1
         return tok
 
@@ -272,6 +274,8 @@ class _Parser:
         prefix = self.word_until({"."})
         self.expect(".")
         name = self.next()
+        if name not in arrows:
+            raise ValueError(f"unknown arrow {name!r} at {self.pos}")
         self.expect(".")
         suffix = self.word_until({"]"})
         self.expect("]")
@@ -315,6 +319,8 @@ class _Parser:
             while self.peek() == "(":
                 terms.append(self.term(arrows))
             self.expect(")")
+            if not terms:
+                raise ValueError("vcomp needs at least one term")
             out = terms[0]
             for t in terms[1:]:
                 out = VComp(out, t)

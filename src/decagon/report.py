@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter_functions
 
 DEFAULT_CARRIER_CAP = 200_000
+HOM_CAP = 4096
 
 
 @dataclass
@@ -30,6 +32,7 @@ class TestUniverse:
     sample_size: int = 20
     depth_bound: int = 7
     carrier_cap: int = DEFAULT_CARRIER_CAP
+    _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def sizes(max_size: int = 2, policy: str = "all", seed: Optional[int] = None,
@@ -39,14 +42,21 @@ class TestUniverse:
         return TestUniverse(objs, morphism_policy=policy, seed=seed, carrier_cap=carrier_cap)
 
     def morphisms(self, X: FinSet, Y: FinSet) -> Iterator[FinFn]:
-        fns = iter_functions(X, Y)
+        pool = self.hom(X, Y)
         if self.morphism_policy == "all":
-            yield from fns
+            yield from pool
             return
-        pool = list(fns)
         rng = random.Random(self.seed)
         k = min(self.sample_size, len(pool))
         yield from (pool[i] for i in sorted(rng.sample(range(len(pool)), k)))
+
+    def hom(self, X: FinSet, Y: FinSet) -> list[FinFn]:
+        """All functions X -> Y, one list per hom-set for the life of the
+        universe, so that memos keyed by morphism hit by identity."""
+        fns = self._homs.get((X, Y))
+        if fns is None:
+            fns = self._homs[X, Y] = list(iter_functions(X, Y))
+        return fns
 
     def all_morphisms(self) -> Iterator[FinFn]:
         for X in self.objects:
@@ -90,6 +100,28 @@ class AxiomVerdict:
         if self.witness is not None:
             out["witness"] = self.witness.as_dict()
         return out
+
+
+def quantify(
+    universe: TestUniverse,
+    symbols: Sequence[str],
+    arrows: Callable[..., Sequence[tuple[FinSet, FinSet]]],
+) -> Iterator[tuple[tuple[FinSet, ...], Optional[Iterator[tuple[FinFn, ...]]]]]:
+    """The quantifier of every equation over objects and hom-sets.
+
+    Assigns universe objects to the object ``symbols``, the first varying
+    slowest, and yields ``(objects, morphisms)`` per assignment, the
+    objects in the order of ``symbols``.  ``arrows(*objects)`` lists the
+    (domain, codomain) carriers of the quantified arrows in the order they
+    vary, the first slowest; ``morphisms`` iterates over their tuples of
+    functions, or is None when a hom-set has more than ``HOM_CAP``.
+    """
+    for objects in product(universe.objects, repeat=len(symbols)):
+        ends = arrows(*objects)
+        if any(len(cod) ** len(dom) > HOM_CAP for dom, cod in ends):
+            yield objects, None
+        else:
+            yield objects, product(*(universe.hom(dom, cod) for dom, cod in ends))
 
 
 def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> AxiomVerdict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .elements import Element, FinFn, FinSet
-from .functors import FunctorExpr, apply_mor, apply_obj
+from .functors import FunctorExpr, apply_elem, apply_mor, apply_obj
 
 ComponentRule = Callable[[FinSet], Callable[[Element], Element]]
 
@@ -193,32 +193,28 @@ def check_naturality(
     return None
 
 
-def components_by_image(
-    nt: NatTrans, F: FunctorExpr
-) -> Callable[[FinFn], Callable[[Element], Element]]:
-    """Lookup of nt's component at the object Y with F(Y) = f.cod, for the
-    f: X -> F(Y) that extension operators take.
+def extension(c: NatTrans, T: FunctorExpr) -> Callable[[FinFn], FinFn]:
+    """The extension operator of a family c: T F => F, F its target:
+    f: X -> F(Y) goes to c_Y after T(f): T(X) -> F(Y).
 
-    Formula components ignore the object, so one is built and shared;
-    tabulated ones locate Y among their tabulated objects.  Each component
-    is built once and kept for the lifetime of the lookup, so the memo of
-    its compiled action is reused across calls.
+    A formula component ignores the object, so one is built and shared; a
+    tabulated one is located at the Y among c's tabulated objects with
+    F(Y) = f.cod.  Each component is built once and kept for the lifetime
+    of the operator, so the memo of its compiled action is reused.
     """
     memo: dict = {}
 
-    def at(f: FinFn) -> Callable[[Element], Element]:
-        key = f.cod if nt.needs_object else None
-        fn = memo.get(key)
-        if fn is None:
-            if not nt.needs_object:
-                fn = nt.component_fn(f.dom)
-            else:
-                Y = next((Y for Y in nt.tabulated_objects or () if apply_obj(F, Y) == f.cod), None)
-                if Y is None:
-                    raise ComponentUnavailable(
-                        f"{nt.name or 'family'} has no component at Y with {F!r}(Y) = {f.cod!r}")
-                fn = nt.component_fn(Y)
-            memo[key] = fn
-        return fn
+    def ext(f: FinFn) -> FinFn:
+        key = f.cod if c.needs_object else None
+        c_fn = memo.get(key)
+        if c_fn is None:
+            found = (Y for Y in c.tabulated_objects or () if apply_obj(c.tgt, Y) == f.cod)
+            Y = next(found, None) if c.needs_object else f.dom
+            if Y is None:
+                raise ComponentUnavailable(
+                    f"{c.name or 'family'} has no component at Y with {c.tgt!r}(Y) = {f.cod!r}")
+            c_fn = memo[key] = c.component_fn(Y)
+        dom = apply_obj(T, f.dom)
+        return FinFn._raw(dom, f.cod, {e: c_fn(apply_elem(T, f, e)) for e in dom.elements})
 
-    return at
+    return ext

@@ -178,3 +178,65 @@ def test_json_goes_to_stdout_summary_to_stderr():
     assert code == 0
     json.loads(out)
     assert "pass" in err
+
+
+@pytest.mark.parametrize("text", [
+    # an atom naming an arrow the signature does not declare
+    "(signature (version 1) (alphabet T) (arrow m (T T) (T))\n"
+    "  (cell c (src [epsilon . nope . epsilon]) (tgt [epsilon . m . epsilon])))\n",
+    # a file cut off after its alphabet
+    "(signature (version 1) (alphabet T)",
+], ids=["unknown-arrow", "truncated"])
+def test_malformed_signature_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.sexp"
+    path.write_text(text)
+    code = run(["pasting-check", "--axiom", "all", "--signature", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: cannot load signature" in err and "Traceback" not in err
+
+
+_NATURALITY_SIGNATURE = """\
+(signature
+  (version 1)
+  (alphabet T P X Y)
+  (arrow u (epsilon) (T))
+  (arrow k (X) (T Y))
+  (cell u-natural
+    (src [epsilon . u . X] ; [T . k . epsilon])
+    (tgt [epsilon . k . epsilon] ; [epsilon . u . T Y]))
+  (axiom N
+    (cell u-natural)
+    (cell u-natural))
+)
+"""
+
+
+def test_user_signature_quantifies_generic_arrows_over_declared_boundary(tmp_path, capsys):
+    # k is generic under the exception interpretation, which assigns no
+    # family to it; it ranges over the functions X -> T(Y) it declares:
+    # 1 + 1 + 1 + 2 of them for |X|, |Y| <= 1
+    path = tmp_path / "naturality.sexp"
+    path.write_text(_NATURALITY_SIGNATURE)
+    code = run(["pasting-check", "--axiom", "N", "--signature", str(path), "--max-size", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(v["axiom"], v["passed"], v["checked"], v["skipped"]) for v in payload["verdicts"]] \
+        == [("cell:u-natural", True, 5, 0)]
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = [c for c in (line.split("#", 1)[0].split() for line in block.splitlines()) if c]
+    assert all(c[0] == "decagon" for c in commands)
+    return [c[1:] for c in commands]
+
+
+def test_readme_cli_commands_run(capsys):
+    # argparse keeps the last --max-size, so each command runs at size 1
+    commands = _readme_cli_commands()
+    assert commands
+    for argv in commands:
+        assert run(argv + ["--max-size", "1"]) == 0, argv
+        capsys.readouterr()

@@ -353,3 +353,23 @@ def test_naturality_of_builtin_units():
         M = builtin_monads()[name]
         assert check_naturality(M.unit, U2.all_morphisms()) is None
         assert check_naturality(M.mult, U2.all_morphisms()) is None
+
+
+def test_check_category_skips_kleisli_compositions_without_components():
+    # the extensive monad that the first search survivor for (exception,
+    # powerset) induces on the Kleisli category of P: the survivor is
+    # tabulated on sizes <= 1 only, so alpha has a component at |Z| = 0
+    # (T(Z) has one element) but not at |Z| = 1.  A composite through Z
+    # needs alpha at Z: unitality evaluates the 3 of 8 morphisms into
+    # |Y| = 0, both ways; associativity evaluates the 13 of 164 triples
+    # with |Z| = |W| = 0.
+    from decagon.distlaw import DistLaw, extend_to_kleisli, monoidal_to_algebra
+    from decagon.search import SearchSpec, enumerate_candidates
+
+    T, P = builtin_monads()["exception"], builtin_monads()["powerset"]
+    U1 = TestUniverse.sizes(1)
+    survivor = enumerate_candidates(SearchSpec(T, P, universe=U1)).survivors[0]
+    alg = monoidal_to_algebra(DistLaw("survivor", T, P, survivor))
+    report = check_category(kleisli(extend_to_kleisli(alg)), U1)
+    rows = [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in report.verdicts]
+    assert rows == [("unitality", True, 6, 10, None), ("associativity", True, 13, 151, None)]
