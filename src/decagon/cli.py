@@ -116,6 +116,8 @@ def _law_reports(law, form: str, universe: TestUniverse) -> list[LawReport]:
 def _report_json(command: str, universe: str, reports: list[LawReport],
                  extra: dict | None = None, exhaustive: bool = True,
                  timing_ms: int = 0) -> dict:
+    """The JSON report; ``exhaustive`` is false when any verdict skipped an
+    instance, and a command without verdicts passes its own value."""
     verdicts = []
     witnesses = []
     for rep in reports:
@@ -135,7 +137,7 @@ def _report_json(command: str, universe: str, reports: list[LawReport],
         "verdicts": verdicts,
         "witnesses": witnesses,
         "timing_ms": timing_ms,
-        "exhaustive": exhaustive,
+        "exhaustive": exhaustive and all(v["skipped"] == 0 for v in verdicts),
     }
     if extra:
         out.update(extra)

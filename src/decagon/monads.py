@@ -26,7 +26,6 @@ from .elements import (
     Inl,
     Pair,
     Subset,
-    all_functions,
     atoms,
     compose,
     identity,
@@ -76,17 +75,14 @@ class ComonadMonoidal:
 class Category:
     """Ambient-category interface: homs as FinFns with a chosen composition.
 
-    ``hom(X, Y)`` is the functions X -> ``obj(Y)`` as concrete tables (for
-    a Kleisli category, functions into P applied to the target).
+    A morphism X -> Y is a function X -> ``obj(Y)`` as a concrete table (for
+    a Kleisli category, a function into P applied to the target).
     """
 
     name: str
     obj: Callable[[FinSet], FinSet]
     compose: Callable[[FinFn, FinFn], FinFn]
     identity: Callable[[FinSet], FinFn]
-
-    def hom(self, X: FinSet, Y: FinSet) -> list[FinFn]:
-        return all_functions(X, self.obj(Y))
 
 
 BASE_CATEGORY = Category("finset", lambda X: X, compose, identity)
@@ -236,11 +232,8 @@ def extensive_to_monoidal(M: MonadExtensive, F: FunctorExpr, universe: TestUnive
     return MonadMonoidal(M.name, F, unit, mult)
 
 
-@dataclass
 class KleisliCat(Category):
     """Kleisli category of an extensive monad: hom(X, Y) = hom(X, PY)."""
-
-    monad: MonadExtensive = None  # type: ignore[assignment]
 
 
 class ConstructionRefused(ValueError):
@@ -260,7 +253,6 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Kleis
         obj=lambda Y: base.obj(M.obj(Y)),
         compose=lambda g, f: base.compose(cached_ext(g), f),
         identity=lambda X: M.unit_at(X),
-        monad=M,
     )
 
 

@@ -9,6 +9,15 @@ interpretation leaves without a functor are object symbols and arrows it
 leaves without a family are generic morphisms; both are quantified over
 the test universe, which is where the hom-set quantification of the
 operator-form axioms lives.
+
+Axioms paste the same few cells again and again, so ``evaluate_cell``
+keeps each verdict on the universe, keyed by the interpretation (by
+identity, weakly, so that the verdicts go when it does), the cell, the
+carrier cap and the object list; the memo holds verdicts only, never
+elements.  Within one cell, the source carrier is pushed through the
+generic-free prefix of each path once per object assignment, before the
+loop over the generic arrows' functions; only the steps from the first
+generic arrow on run once per instance.
 """
 
 from __future__ import annotations
@@ -23,22 +32,24 @@ from ..transforms import (
     NatTrans,
     OversizeCarrier,
     Step,
-    composite_map,
-    identity_map,
+    compiled_step,
+    source_carrier,
 )
 from .signature import Signature
 from .terms import CellGen, cells_used
-from .words import Path, Word
+from .words import ArrowAtom, Path, Word
 
 
-@dataclass
+@dataclass(eq=False)
 class Interpretation:
     """Concrete data for the symbolic layer.
 
     ``functors`` maps monad symbols (T, P) to functor expressions;
     ``arrows`` maps arrow generators to transformation families.  Object
     symbols and generic morphisms stay unassigned and are quantified
-    during checking.
+    during checking.  Interpretations compare and hash by identity, so a
+    memoised verdict belongs to the one interpretation it was computed
+    under.
     """
 
     name: str
@@ -49,20 +60,23 @@ class Interpretation:
         return compose_functors(*(self.functors[s] if s in self.functors else Const(objects[s])
                                   for s in w.symbols))
 
+    def atom_step(self, atom: ArrowAtom, objects: dict[str, FinSet],
+                  generics: dict[str, FinFn]) -> Step:
+        """The whiskered component of one atom; a generic arrow takes its
+        function from ``generics``."""
+        nt = self.arrows.get(atom.gen.name)
+        if nt is None:
+            fn = generics[atom.gen.name]
+            nt = NatTrans(self.word_functor(atom.gen.src, objects),
+                          self.word_functor(atom.gen.tgt, objects),
+                          lambda X, _f=fn: _f, name=atom.gen.name)
+        return Step(self.word_functor(atom.prefix, objects), nt,
+                    self.word_functor(atom.suffix, objects))
+
     def path_steps(
         self, path: Path, objects: dict[str, FinSet], generics: dict[str, FinFn]
     ) -> list[Step]:
-        steps = []
-        for atom in path.atoms:
-            nt = self.arrows.get(atom.gen.name)
-            if nt is None:
-                fn = generics[atom.gen.name]
-                nt = NatTrans(self.word_functor(atom.gen.src, objects),
-                              self.word_functor(atom.gen.tgt, objects),
-                              lambda X, _f=fn: _f, name=atom.gen.name)
-            steps.append(Step(self.word_functor(atom.prefix, objects), nt,
-                              self.word_functor(atom.suffix, objects)))
-        return steps
+        return [self.atom_step(atom, objects, generics) for atom in path.atoms]
 
 
 def identity_interpretation() -> Interpretation:
@@ -91,13 +105,38 @@ def law_interpretation(law) -> Interpretation:
     return Interpretation(law.name, {"T": law.T.functor, "P": law.P.functor}, arrows)
 
 
-def _side(interp: Interpretation, path: Path, objects: dict[str, FinSet],
-          generics: dict[str, FinFn], X: FinSet, cap: int) -> dict:
-    """A path's composite at X; the identity map for the empty path."""
-    steps = interp.path_steps(path, objects, generics)
-    if steps:
-        return composite_map(steps, X, cap)
-    return identity_map(interp.word_functor(path.start, objects), X, cap)
+class _Side:
+    """One path of a cell at one object assignment and ambient object X.
+
+    The source carrier is pushed through the longest prefix of the path
+    that has no generic arrow once, on construction; for a path without
+    generic arrows that is the whole path.  ``composite`` compiles and
+    runs the remaining steps for one choice of the generic arrows' functions.
+    """
+
+    def __init__(self, interp: Interpretation, path: Path, objects: dict[str, FinSet],
+                 X: FinSet, cap: int):
+        self.interp, self.objects, self.X, self.cap = interp, objects, X, cap
+        self.dom = source_carrier(interp.word_functor(path.start, objects), X, cap).elements
+        atoms = path.atoms
+        prefix = next((i for i, a in enumerate(atoms) if a.gen.name not in interp.arrows),
+                      len(atoms))
+        values = self.dom
+        for atom in atoms[:prefix]:
+            fn = compiled_step(interp.atom_step(atom, objects, {}), X, cap)
+            values = [fn(v) for v in values]
+        self.values, self.rest = values, atoms[prefix:]
+
+    def composite(self, generics: dict[str, FinFn]) -> dict:
+        """The path's composite at X, the generic arrows taking ``generics``."""
+        fns = [compiled_step(self.interp.atom_step(atom, self.objects, generics), self.X, self.cap)
+               for atom in self.rest]
+        out = {}
+        for e, v in zip(self.dom, self.values):
+            for fn in fns:
+                v = fn(v)
+            out[e] = v
+        return out
 
 
 def evaluate_cell(
@@ -110,7 +149,18 @@ def evaluate_cell(
     The symbols the interpretation assigns no functor to are object
     symbols, quantified over the universe; the arrows it assigns no family
     to are generic, each ranging over the functions between the carriers
-    of its declared boundary words."""
+    of its declared boundary words.
+
+    The verdict is computed once per cell, interpretation (by identity),
+    carrier cap and object list, and kept on the universe for as long as
+    the interpretation lives; every call returns a fresh copy.  The
+    depth-bound guard runs on every call.  Within one object assignment
+    the source carrier is pushed through the longest generic-free prefix
+    of each path once, before the loop over the generic arrows'
+    functions; if that part refuses (oversize carrier, missing component)
+    every instance of the assignment is skipped.  The steps from the first
+    generic arrow on are compiled per instance, so their memos never
+    outlive it."""
     atoms = cell.src.atoms + cell.tgt.atoms
     words = [cell.src.start, cell.tgt.start] + [a.tgt for a in atoms]
     depth = max(sum(1 for s in w.symbols if s in interp.functors) for w in words)
@@ -119,10 +169,22 @@ def evaluate_cell(
             f"cell {cell.name} needs functor words of length {depth}, "
             f"universe depth bound is {universe.depth_bound}"
         )
+    memo = universe._verdicts.setdefault(interp, {})
+    key = (cell, universe.carrier_cap, tuple(universe.objects))
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _evaluate(cell, interp, universe, words)
+    return replace(verdict)
+
+
+def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
+              words: list[Word]) -> AxiomVerdict:
+    atoms = cell.src.atoms + cell.tgt.atoms
     symbols = {s for w in words + [a.src for a in atoms] for s in w.symbols}
     obj_names = sorted(symbols - interp.functors.keys())
     generics = sorted({a.gen for a in atoms if a.gen.name not in interp.arrows},
                       key=lambda g: g.name)
+    cap = universe.carrier_cap
 
     def ends(X: FinSet, objects: dict[str, FinSet]) -> list[tuple[FinSet, FinSet]]:
         return [tuple(apply_obj(interp.word_functor(w, objects), X) for w in (g.src, g.tgt))
@@ -137,14 +199,19 @@ def evaluate_cell(
                 if morphisms is None:
                     yield at, None
                     continue
+                try:
+                    sides = [_Side(interp, path, objects, X, cap) for path in (cell.src, cell.tgt)]
+                except (OversizeCarrier, ComponentUnavailable):
+                    sides = None
                 for fs in morphisms:
-                    chosen = {g.name: fn for g, fn in zip(generics, fs)}
-                    try:
-                        sides = tuple(_side(interp, path, objects, chosen, X, universe.carrier_cap)
-                                      for path in (cell.src, cell.tgt))
-                    except (OversizeCarrier, ComponentUnavailable):
-                        sides = None
-                    yield at, sides
+                    pair = None
+                    if sides:
+                        chosen = {g.name: fn for g, fn in zip(generics, fs)}
+                        try:
+                            pair = tuple(side.composite(chosen) for side in sides)
+                        except (OversizeCarrier, ComponentUnavailable):
+                            pass
+                    yield at, pair
 
     return compare(f"cell:{cell.name}", instances())
 

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter_functions
 
@@ -33,6 +34,9 @@ class TestUniverse:
     depth_bound: int = 7
     carrier_cap: int = DEFAULT_CARRIER_CAP
     _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # interpretation -> {(cell, carrier cap, objects): verdict}; see evaluate_cell
+    _verdicts: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
+                                         repr=False, compare=False)
 
     @staticmethod
     def sizes(max_size: int = 2, policy: str = "all", seed: Optional[int] = None,

@@ -115,6 +115,30 @@ class OversizeCarrier(Exception):
     """A composite evaluation would need a carrier above the configured cap."""
 
 
+def source_carrier(F: FunctorExpr, X: FinSet, cap: int) -> FinSet:
+    """F(X), or ``OversizeCarrier`` when it would exceed ``cap``."""
+    from .functors import size_within
+
+    if size_within(F, len(X), cap) > cap:
+        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
+    return apply_obj(F, X)
+
+
+def compiled_step(s: Step, X: FinSet, cap: int) -> Callable[[Element], Element]:
+    """The element action of one whiskered component at X.
+
+    Raises ``OversizeCarrier`` when a tabulated component's object would
+    exceed ``cap`` and ``ComponentUnavailable`` when it is missing.
+    """
+    from .functors import compiled_action, size_within
+
+    if s.nt.needs_object:
+        if size_within(s.suffix, len(X), cap) > cap:
+            raise OversizeCarrier(f"inner object exceeds cap {cap}")
+        X = apply_obj(s.suffix, X)
+    return compiled_action(s.prefix, s.nt.component_fn(X))
+
+
 def composite_map(
     steps: Sequence[Step], X: FinSet, cap: int
 ) -> dict[Element, Element]:
@@ -127,23 +151,8 @@ def composite_map(
     """
     if not steps:
         raise ValueError("empty composite")
-    from .functors import size_within
-
-    src_F = step_source(steps[0])
-    if size_within(src_F, len(X), cap) > cap:
-        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
-    from .functors import compiled_action
-
-    fns = []
-    for s in steps:
-        if s.nt.needs_object:
-            if size_within(s.suffix, len(X), cap) > cap:
-                raise OversizeCarrier(f"inner object exceeds cap {cap}")
-            inner = apply_obj(s.suffix, X)
-        else:
-            inner = X
-        fns.append(compiled_action(s.prefix, s.nt.component_fn(inner)))
-    dom = apply_obj(src_F, X)
+    dom = source_carrier(step_source(steps[0]), X, cap)
+    fns = [compiled_step(s, X, cap) for s in steps]
     out: dict[Element, Element] = {}
     for e in dom.elements:
         v = e
@@ -154,11 +163,7 @@ def composite_map(
 
 
 def identity_map(F: FunctorExpr, X: FinSet, cap: int) -> dict[Element, Element]:
-    from .functors import size_within
-
-    if size_within(F, len(X), cap) > cap:
-        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
-    return {e: e for e in apply_obj(F, X).elements}
+    return {e: e for e in source_carrier(F, X, cap).elements}
 
 
 def square_failure(

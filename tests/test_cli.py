@@ -100,6 +100,17 @@ def test_registry_with_bad_monoid_exit_two(tmp_path):
     assert run(["check-monad", "--monad", "writer", "--registry", str(registry)]) == 2
 
 
+@pytest.mark.parametrize("law,exhaustive", [
+    ("writer-over-powerset", False),  # decagon and hexagon skip an instance at |X| = 2
+    ("exception-over-powerset", True),
+])
+def test_check_law_exhaustive_follows_the_verdicts(capsys, law, exhaustive):
+    run(["check-law", "--law", law, "--max-size", "2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert any(v["skipped"] for v in payload["verdicts"]) is not exhaustive
+    assert payload["exhaustive"] is exhaustive
+
+
 def test_check_monad(capsys):
     assert run(["check-monad", "--monad", "powerset", "--max-size", "1"]) == 0
     capsys.readouterr()

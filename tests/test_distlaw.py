@@ -369,7 +369,7 @@ def test_extend_to_kleisli_takes_tabulated_alpha_at_the_target_object():
     assert by_table.ext(f) == by_formula.ext(f)
     for X in U2.objects:
         for Y in U2.objects:
-            for f in by_formula.ambient.hom(X, by_formula.obj(Y)):
+            for f in U2.hom(X, by_formula.ambient.obj(by_formula.obj(Y))):
                 assert by_table.ext(f) == by_formula.ext(f)
 
 

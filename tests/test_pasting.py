@@ -335,3 +335,175 @@ def test_depth_bound_guards_deep_words():
     # the decagon needs words of length 7 (its interchangers span TP.TPP.TT)
     shallow.depth_bound = 7
     assert check_axiom_degenerate("D2", identity_interpretation(), shallow).ok
+
+
+# --- the verdict memo and the hoisted evaluation -------------------------------
+
+
+def _broken_law(name, lam_fn):
+    from decagon.distlaw import DistLaw
+    from decagon.transforms import formula
+
+    good = exception_over_powerset()
+    return DistLaw(name, good.T, good.P, formula(good.lam.src, good.lam.tgt, lam_fn, name))
+
+
+def _empty_set_lambda(e):
+    from decagon.elements import Inl, Subset, subset
+
+    if type(e) is Inl:
+        return subset(Inl(x) for x in e.value.members)
+    return Subset(())
+
+
+def _inl_nonempty_lambda(e):
+    """Adds inr(e) when a member is inl of a nonempty subset.  Not natural:
+    in xc-lambda-T-g only the target side meets such members, after the
+    generic g, and only for a g other than the first function."""
+    from decagon.elements import Atom, Inl, Inr, Subset, subset
+
+    if type(e) is Inl:
+        img = [Inl(x) for x in e.value.members]
+        if any(type(x) is Inl and type(x.value) is Subset and x.value.members
+               for x in e.value.members):
+            img.append(Inr(Atom("e")))
+        return subset(img)
+    return Subset((e,))
+
+
+def _row(v):
+    return v.passed, v.checked, v.skipped, v.witness
+
+
+@pytest.mark.parametrize("mutant_first", [False, True])
+def test_verdict_memo_keeps_interpretations_apart(mutant_first):
+    shared = TestUniverse.sizes(2)
+    runs = [("good", law_interpretation(exception_over_powerset())),
+            ("mutant", law_interpretation(_broken_law("empty-set", _empty_set_lambda)))]
+    for name, interp in reversed(runs) if mutant_first else runs:
+        rep = check_axiom_degenerate("M1", interp, shared)
+        if name == "good":
+            assert rep.ok, rep.summary()
+        else:
+            w = rep.verdict("cell:psi2").witness
+            assert f"{w.element}: {w.lhs} != {w.rhs}" == "inr(e): {} != {inr(e)}"
+
+
+def test_memoised_verdict_is_a_fresh_copy_of_a_fresh_evaluation():
+    interp = law_interpretation(exception_over_powerset())
+    cell = SIG.cells["xc-u-e-f"]
+    U = TestUniverse.sizes(1)
+    first = evaluate_cell(cell, interp, U)
+    first.passed, first.checked = False, -1
+    hit = evaluate_cell(cell, interp, U)
+    assert hit == evaluate_cell(cell, interp, TestUniverse.sizes(1))
+    assert hit.passed and hit.checked > 1
+    # the carrier cap is part of the key: a lower cap skips instead
+    U.carrier_cap = 0
+    assert evaluate_cell(cell, interp, U).skipped > 0
+
+
+def test_verdict_memo_lives_as_long_as_the_interpretation():
+    import gc
+
+    U = TestUniverse.sizes(1)
+    interp = law_interpretation(exception_over_powerset())
+    evaluate_cell(SIG.cells["xc-u-e-f"], interp, U)
+    assert len(U._verdicts) == 1
+    del interp
+    gc.collect()
+    assert len(U._verdicts) == 0
+
+
+def test_depth_bound_guards_memo_hits():
+    U = TestUniverse.sizes(1)
+    assert check_axiom_degenerate("D2", identity_interpretation(), U).ok
+    U.depth_bound = 4
+    with pytest.raises(ValueError):
+        check_axiom_degenerate("D2", identity_interpretation(), U)
+
+
+def _per_instance_verdict(cell, interp, universe):
+    """evaluate_cell's verdict with both paths rebuilt and run from the
+    source carrier for every instance: the reference for the hoisting."""
+    from decagon.functors import apply_obj
+    from decagon.report import compare, quantify
+    from decagon.transforms import (ComponentUnavailable, OversizeCarrier, composite_map,
+                                    identity_map)
+
+    atoms = cell.src.atoms + cell.tgt.atoms
+    words = [cell.src.start] + [a.src for a in atoms] + [a.tgt for a in atoms]
+    obj_names = sorted({s for w in words for s in w.symbols} - interp.functors.keys())
+    generics = sorted({a.gen for a in atoms if a.gen.name not in interp.arrows},
+                      key=lambda g: g.name)
+    cap = universe.carrier_cap
+
+    def side(path, objects, chosen, X):
+        steps = interp.path_steps(path, objects, chosen)
+        if steps:
+            return composite_map(steps, X, cap)
+        return identity_map(interp.word_functor(path.start, objects), X, cap)
+
+    def instances():
+        for X in universe.objects[:1] if obj_names else universe.objects:
+            def ends(*combo):
+                objects = dict(zip(obj_names, combo))
+                return [tuple(apply_obj(interp.word_functor(w, objects), X)
+                              for w in (g.src, g.tgt)) for g in generics]
+
+            for combo, morphisms in quantify(universe, obj_names, ends):
+                objects = dict(zip(obj_names, combo))
+                at = f"|X|={len(X)}" + "".join(f",{k}={len(v)}" for k, v in objects.items())
+                if morphisms is None:
+                    yield at, None
+                    continue
+                for fs in morphisms:
+                    chosen = {g.name: fn for g, fn in zip(generics, fs)}
+                    try:
+                        sides = tuple(side(p, objects, chosen, X) for p in (cell.src, cell.tgt))
+                    except (OversizeCarrier, ComponentUnavailable):
+                        sides = None
+                    yield at, sides
+
+    return compare(f"cell:{cell.name}", instances())
+
+
+GENERIC_CELLS = sorted(n for n, c in SIG.cells.items()
+                       if {a.gen.name for a in c.src.atoms + c.tgt.atoms} & {"f", "g", "h"})
+
+
+def _interpretations():
+    from decagon.distlaw import writer_over_powerset
+
+    return [law_interpretation(exception_over_powerset()),
+            law_interpretation(writer_over_powerset()),
+            law_interpretation(_broken_law("empty-set", _empty_set_lambda)),
+            identity_interpretation(),
+            law_interpretation(_broken_law("inl-nonempty", _inl_nonempty_lambda))]
+
+
+@pytest.mark.parametrize("interp", _interpretations(), ids=lambda i: i.name)
+def test_hoisting_changes_no_verdict(interp):
+    for name in GENERIC_CELLS:
+        cell = SIG.cells[name]
+        want = _per_instance_verdict(cell, interp, U1)
+        assert _row(evaluate_cell(cell, interp, TestUniverse.sizes(1))) == _row(want), name
+
+
+def test_hoisting_changes_no_verdict_of_the_generic_pasting_algebra_cells():
+    interp = law_interpretation(exception_over_powerset())
+    for name in ["xc-alpha-PT-h", "xc-alpha-e-g", "xc-alpha-e-h", "xc-eta-T-g",
+                 "xc-mu-T-h", "xc-u-e-g"]:
+        cell = SIG.cells[name]
+        got = evaluate_cell(cell, interp, TestUniverse.sizes(2))
+        assert _row(got) == _row(_per_instance_verdict(cell, interp, U2)), name
+        assert got.passed and got.checked > 1
+
+
+def test_hoisted_cell_catches_a_failure_after_its_generic_step():
+    interp = law_interpretation(_broken_law("inl-nonempty", _inl_nonempty_lambda))
+    v = evaluate_cell(SIG.cells["xc-lambda-T-g"], interp, U1)
+    assert not v.passed
+    w = v.witness
+    assert (w.at, w.element, w.lhs, w.rhs) == (
+        "|X|=0,Y=1,Z=0", "inl({inl(a)})", "{inl(inl({inr(e)}))}", "{inl(inl({inr(e)})),inr(e)}")
