@@ -10,9 +10,13 @@ Elements are hash-consed: each constructor looks its structure up in the
 intern table ``_KEY_CACHE``, keyed by the tag and the child objects, and
 returns the live instance if there is one.  Two equal elements are
 therefore the same object, so equality and hashing are the ``object``
-defaults, and the order key ``(tag, children's keys...)`` is computed once
-into the ``_key`` slot.  Invariant: the table is never cleared, because
-identity equality holds only while it outlives every element.
+defaults.  A subset is interned on its member tuple in intern order (by
+``id``), which needs no order key; ``Subset.members`` and the printers
+give the members in the structural order.  The order key
+``(tag, children's keys...)`` is computed on first use into the ``_key``
+slot, because most elements are intermediates that are never sorted or
+printed.  Invariant: the table is never cleared, because identity equality
+and the intern order hold only while it outlives every element.
 """
 
 from __future__ import annotations
@@ -26,9 +30,18 @@ _KEY_CACHE: dict[tuple, "Element"] = {}
 
 
 class Element:
-    """Base class for hash-consed elements; ``_key`` is the order key."""
+    """Base class for hash-consed elements; ``_key`` is the order key,
+    filled on first use."""
 
     __slots__ = ("_key",)
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset, so a filled ``_key`` is read
+        # directly; the order key is computed here on first use.
+        if name != "_key":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        key = self._key = self._order_key()
+        return key
 
 
 class Atom(Element):
@@ -54,8 +67,11 @@ class Inl(Element):
         e = _KEY_CACHE.get(ident)
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
-            e.value, e._key = value, (1, value._key)
+            e.value = value
         return e
+
+    def _order_key(self):
+        return (1, self.value._key)
 
     def __repr__(self):
         return f"Inl({self.value!r})"
@@ -69,8 +85,11 @@ class Inr(Element):
         e = _KEY_CACHE.get(ident)
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
-            e.value, e._key = value, (2, value._key)
+            e.value = value
         return e
+
+    def _order_key(self):
+        return (2, self.value._key)
 
     def __repr__(self):
         return f"Inr({self.value!r})"
@@ -84,25 +103,43 @@ class Pair(Element):
         e = _KEY_CACHE.get(ident)
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
-            e.fst, e.snd, e._key = fst, snd, (3, fst._key, snd._key)
+            e.fst, e.snd = fst, snd
         return e
+
+    def _order_key(self):
+        return (3, self.fst._key, self.snd._key)
 
     def __repr__(self):
         return f"Pair({self.fst!r}, {self.snd!r})"
 
 
 class Subset(Element):
-    """Sorted duplicate-free member tuple; build through ``subset``."""
+    """A finite set of elements, from any iterable of them.
 
-    __slots__ = ("members",)
+    Interned on the duplicate-free member tuple ``_members`` in intern
+    order (by ``id``, stable because interned elements are never freed);
+    ``members``, the printers and the order key, computed on first use,
+    take them in the structural order.
+    """
 
-    def __new__(cls, members: tuple):
-        ident = (4, members)
+    __slots__ = ("_members",)
+
+    def __new__(cls, members: Iterable[Element]):
+        ms = tuple(sorted(set(members), key=id))
+        ident = (4, ms)
         e = _KEY_CACHE.get(ident)
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
-            e.members, e._key = members, (4, tuple(m._key for m in members))
+            e._members = ms
         return e
+
+    @property
+    def members(self) -> tuple:
+        """The members in the structural order."""
+        return tuple(sorted(self._members, key=element_key))
+
+    def _order_key(self):
+        return (4, tuple(sorted(m._key for m in self._members)))
 
     def __repr__(self):
         return f"Subset({list(self.members)!r})"
@@ -118,8 +155,11 @@ class FnTable(Element):
         e = _KEY_CACHE.get(ident)
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
-            e.entries, e._key = entries, (5, tuple((a._key, b._key) for a, b in entries))
+            e.entries = entries
         return e
+
+    def _order_key(self):
+        return (5, tuple((a._key, b._key) for a, b in self.entries))
 
     def __repr__(self):
         return f"FnTable({list(self.entries)!r})"
@@ -130,8 +170,8 @@ element_key = attrgetter("_key")
 
 
 def subset(members: Iterable[Element]) -> Subset:
-    """Canonical subset: members sorted by the global order, duplicates removed."""
-    return Subset(tuple(sorted(dict.fromkeys(members), key=element_key)))
+    """Canonical subset: duplicates removed, the member tuple in intern order."""
+    return Subset(members)
 
 
 def fn_table(entries: Iterable[tuple[Element, Element]]) -> FnTable:

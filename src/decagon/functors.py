@@ -114,7 +114,7 @@ def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
         members = []
         for r in range(len(xs) + 1):
             for combo in combinations(xs, r):
-                members.append(Subset(combo))  # combinations of a sorted tuple stay sorted
+                members.append(Subset(combo))
         out = FinSet(members)
     elif isinstance(F, Exp):
         rs = F.exponent.elements
@@ -142,7 +142,7 @@ def apply_elem(F: FunctorExpr, fn: Callable[[Element], Element], e: Element) -> 
     if isinstance(F, Prod):
         return Pair(apply_elem(F.left, fn, e.fst), apply_elem(F.right, fn, e.snd))
     if isinstance(F, Power):
-        return subset(fn(m) for m in e.members)
+        return subset(fn(m) for m in e._members)
     if isinstance(F, Exp):
         return FnTable(tuple((k, fn(v)) for k, v in e.entries))
     if isinstance(F, Comp):
@@ -177,7 +177,7 @@ def compiled_action(F: FunctorExpr, fn: Callable[[Element], Element]) -> Callabl
 
         def inner(e, _fn=fn, _memo=member_memo):
             out = []
-            for m in e.members:
+            for m in e._members:
                 v = _memo.get(m)
                 if v is None:
                     v = _fn(m)

@@ -396,8 +396,8 @@ def powerset_monad() -> MonadMonoidal:
 
     def m_fn(e: Element) -> Element:
         out = []
-        for s in e.members:
-            out.extend(s.members)
+        for s in e._members:
+            out.extend(s._members)
         return subset(out)
 
     return MonadMonoidal(

@@ -167,8 +167,17 @@ def _difference(at: str, sides) -> Optional[Witness]:
             return Witness(at, "domain", repr(lhs.dom), repr(rhs.dom))
         boundary = Witness(at, "codomain", repr(lhs.cod), repr(rhs.cod))
         lhs, rhs = dict(lhs.pairs), dict(rhs.pairs)
-    return next((Witness(at, element_repr(e), element_repr(v), element_repr(rhs[e]))
-                 for e, v in lhs.items() if rhs[e] != v), boundary)
+    for e, v in lhs.items():
+        w = rhs[e]
+        if w != v:
+            shown = element_repr(v)
+            if shown == element_repr(w):
+                # Distinct objects with one structure: an element escaped the
+                # intern table, so identity equality cannot be trusted.
+                raise RuntimeError(f"at {at}, element {element_repr(e)}: two distinct "
+                                   f"elements print as {shown}; one bypassed the intern table")
+            return Witness(at, element_repr(e), shown, element_repr(w))
+    return boundary
 
 
 @dataclass

@@ -7,6 +7,8 @@ import pytest
 
 from decagon import cli
 from decagon.cli import run
+from decagon.elements import Atom, Subset, element_repr, subset
+from decagon.report import compare
 
 PY = [sys.executable, "-m", "decagon.cli"]
 
@@ -141,6 +143,34 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+def _duplicate(s):
+    """A second object with the structure of subset ``s``, made past the
+    intern table."""
+    dup = object.__new__(Subset)
+    dup._members = s._members
+    return dup
+
+
+def test_element_that_bypassed_the_intern_table_is_an_internal_error(monkeypatch, capsys):
+    x = Atom("a")
+    s = subset([x, Atom("b")])
+    dup = _duplicate(s)
+    assert dup is not s and element_repr(dup) == element_repr(s)
+    with pytest.raises(RuntimeError, match="bypassed the intern table"):
+        compare("axiom", [("|X|=1", ({x: s}, {x: dup}))])
+    # a real difference is still a witness
+    assert compare("axiom", [("|X|=1", ({x: s}, {x: subset([x])}))]).witness.rhs == "{a}"
+
+    def duplicating(args, monads, laws):
+        compare("axiom", [("|X|=1", ({x: s}, {x: dup}))])
+
+    monkeypatch.setitem(cli._RUNNERS, "search", duplicating)
+    code = run(["search", "--law", "exception-over-powerset", "--max-size", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "print as {a,b}; one bypassed the intern table" in captured.err
 
 
 def test_pasting_derive(capsys):

@@ -1,9 +1,16 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from decagon.elements import (
     Atom,
     CompositionError,
+    Element,
     FinFn,
     FinSet,
     FnTable,
@@ -19,6 +26,7 @@ from decagon.elements import (
     identity,
     subset,
 )
+from decagon.functors import Power, apply_obj
 
 
 def elements_strategy():
@@ -38,7 +46,8 @@ def elements_strategy():
 
 def reference_key(e):
     """The order key recomputed recursively from the structure, as it was
-    defined before elements carried it in a slot."""
+    defined before elements carried it in a slot; a subset's member keys
+    are sorted here, so no order the implementation keeps is trusted."""
     if type(e) is Atom:
         return (0, e.label)
     if type(e) is Inl:
@@ -48,7 +57,7 @@ def reference_key(e):
     if type(e) is Pair:
         return (3, reference_key(e.fst), reference_key(e.snd))
     if type(e) is Subset:
-        return (4, tuple(reference_key(m) for m in e.members))
+        return (4, tuple(sorted(reference_key(m) for m in e.members)))
     if type(e) is FnTable:
         return (5, tuple((reference_key(a), reference_key(b)) for a, b in e.entries))
     raise TypeError(f"not an Element: {e!r}")
@@ -191,3 +200,86 @@ def test_fn_table_order_does_not_reach_equality_hash_or_pairs(order, values):
     assert built.pairs == raw.pairs == tuple(entries)
     wider = FinFn(X, atoms("a", "b", "c", "d"), entries)
     assert wider != built and wider.pairs == built.pairs
+
+
+def key_is_set(e):
+    """Whether the ``_key`` slot is filled, read without computing it."""
+    try:
+        Element.__dict__["_key"].__get__(e, type(e))
+    except AttributeError:
+        return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_subset_is_one_object_for_every_member_order(data):
+    xs = data.draw(st.lists(elements_strategy(), unique=True, max_size=4))
+    perm = data.draw(st.permutations(xs))
+    chosen = perm[:data.draw(st.integers(0, len(xs)))]
+    s = subset(chosen)
+    assert s is Subset(tuple(chosen)) is subset(chosen[::-1] + chosen)
+    assert [t for t in apply_obj(Power(), FinSet(xs)) if t is s] == [s]
+    assert s.members == tuple(sorted(chosen, key=reference_key))
+    assert element_key(s) == reference_key(s)
+
+
+_fresh = itertools.count()
+
+
+@given(elements_strategy(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_key_is_computed_on_demand_after_membership(e, member_first):
+    member = Pair(Atom(f"fresh{next(_fresh)}"), e)  # never built before
+    outer = subset([Inl(member), e])
+    assert not key_is_set(member) and not key_is_set(outer)
+    if member_first:
+        assert element_key(member) == reference_key(member)
+    assert element_key(outer) == reference_key(outer)
+    assert key_is_set(member) and element_key(member) == reference_key(member)
+    assert outer.members == tuple(sorted((Inl(member), e), key=reference_key))
+
+
+# Interns the atoms and the singletons in the order given on the command
+# line, so that the intern order differs between runs; prints the intern
+# order, then every element of PP({a,b}) and TPT({a,b}) and the witness of
+# the size-sensitive decagon mutant.
+_PRINT_CARRIERS = textwrap.dedent("""
+    import json, sys
+    from decagon import *
+    from decagon.elements import element_repr
+    order = [Atom(l) for l in sys.argv[1]]
+    for a in order:
+        subset([a])
+    print([m.label for m in subset(order)._members])
+    X = atoms("a", "b")
+    T = builtin_monads()["exception"].functor
+    for F in (compose_functors(Power(), Power()), compose_functors(T, Power(), T)):
+        print(" ".join(element_repr(e) for e in apply_obj(F, X)))
+    good = builtin_laws()["exception-over-powerset"]
+
+    def lam(e):
+        if type(e) is Inl:
+            img = [Inl(x) for x in e.value.members]
+            if len(img) == 1:
+                img.append(Inr(Atom("e")))
+            return subset(img)
+        return Subset((e,))
+
+    bad = DistLaw("size-sensitive", good.T, good.P,
+                  formula(good.lam.src, good.lam.tgt, lam, "size-sensitive"))
+    print(json.dumps(check_decagon(bad, TestUniverse.sizes(2)).as_dict(), sort_keys=True))
+""")
+
+
+def test_intern_order_never_reaches_output():
+    outs = []
+    for order, seed in (("ab", "1"), ("ba", "2")):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _PRINT_CARRIERS, order], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout.split("\n", 1))
+    (order1, out1), (order2, out2) = outs
+    assert order1 != order2  # the two runs did intern in different orders
+    assert out1 == out2
+    assert "{{a,b}}" in out1 and '"passed": false' in out1 and '"witness"' in out1
