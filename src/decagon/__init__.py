@@ -47,7 +47,6 @@ from .monads import (
     Category,
     ComonadMonoidal,
     ConstructionRefused,
-    KleisliCat,
     MonadExtensive,
     MonadMonoidal,
     Monoid,

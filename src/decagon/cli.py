@@ -114,10 +114,9 @@ def _law_reports(law, form: str, universe: TestUniverse) -> list[LawReport]:
 
 
 def _report_json(command: str, universe: str, reports: list[LawReport],
-                 extra: dict | None = None, exhaustive: bool = True,
-                 timing_ms: int = 0) -> dict:
+                 extra: dict | None = None) -> dict:
     """The JSON report; ``exhaustive`` is false when any verdict skipped an
-    instance, and a command without verdicts passes its own value."""
+    instance."""
     verdicts = []
     witnesses = []
     for rep in reports:
@@ -136,8 +135,8 @@ def _report_json(command: str, universe: str, reports: list[LawReport],
         "universe": universe,
         "verdicts": verdicts,
         "witnesses": witnesses,
-        "timing_ms": timing_ms,
-        "exhaustive": exhaustive and all(v["skipped"] == 0 for v in verdicts),
+        "timing_ms": 0,
+        "exhaustive": all(v["skipped"] == 0 for v in verdicts),
     }
     if extra:
         out.update(extra)
@@ -338,8 +337,7 @@ def _run_search(args, monads, laws) -> tuple[int, dict, list[str]]:
         extra["registered_among_survivors"] = any(
             candidate_matches(c, reference, universe) for c in result.survivors
         )
-    payload = _report_json("search", universe.describe(), [], extra=extra,
-                           exhaustive=result.exhaustive)
+    payload = _report_json("search", universe.describe(), [], extra=extra)
     ok = result.forms_agree and (reference is None or extra["registered_among_survivors"])
     return (0 if ok else 1), payload, [f"search {result.spec_desc}: {extra['counts']}"]
 

@@ -44,7 +44,7 @@ from .monads import (
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
 from .report import LawReport, TestUniverse, compare, quantify
-from .transforms import NatTrans, extension, formula, tabulated
+from .transforms import NatTrans, derived, extension, formula, tabulated
 
 
 @dataclass
@@ -233,18 +233,12 @@ def monoidal_to_algebra(D: DistLaw) -> DistLawAlgebra:
     lam, m = D.lam, D.T.mult
 
     def rule(X: FinSet) -> Callable[[Element], Element]:
-        lam_fn = lam.component_fn(apply_obj(T, X)) if lam.needs_object else lam.rule(X)
+        lam_fn = lam.rule(apply_obj(T, X))
         pm = compiled_action(P, m.rule(X))
         return lambda e: pm(lam_fn(e))
 
-    alpha = NatTrans(
-        compose_functors(T, P, T),
-        compose_functors(P, T),
-        rule,
-        name=f"alpha[{D.name}]",
-        needs_object=lam.needs_object,
-        tabulated_objects=lam.tabulated_objects,
-    )
+    alpha = derived(compose_functors(T, P, T), compose_functors(P, T), rule,
+                    f"alpha[{D.name}]", lam, m)
     return DistLawAlgebra(D.name, D.T, D.P, alpha)
 
 
@@ -258,14 +252,10 @@ def algebra_to_monoidal(D: DistLawAlgebra, universe: Optional[TestUniverse] = No
 
     def rule(X: FinSet) -> Callable[[Element], Element]:
         tpu = compiled_action(TP, u.rule(X))
-        alpha_fn = alpha.component_fn(X)
+        alpha_fn = alpha.rule(X)
         return lambda e: alpha_fn(tpu(e))
 
-    lam = NatTrans(
-        TP, compose_functors(P, T), rule,
-        name=f"lambda[{D.name}]", needs_object=alpha.needs_object,
-        tabulated_objects=alpha.tabulated_objects,
-    )
+    lam = derived(TP, compose_functors(P, T), rule, f"lambda[{D.name}]", alpha, u)
     return DistLaw(D.name, D.T, D.P, lam)
 
 
@@ -308,15 +298,15 @@ def compose_monads(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -
 
     def unit_rule(X: FinSet) -> Callable[[Element], Element]:
         u_fn = u.rule(X)
-        eta_fn = eta.rule(X)
+        eta_fn = eta.rule(apply_obj(T, X))
         return lambda e: eta_fn(u_fn(e))
 
     def mult_rule(X: FinSet) -> Callable[[Element], Element]:
         # PTPT -> PT: P(lambda T); P(P m); mu T
-        lam_fn = lam.component_fn(apply_obj(T, X)) if lam.needs_object else lam.rule(X)
-        plam = compiled_action(P, lam_fn)
+        tx = apply_obj(T, X)
+        plam = compiled_action(P, lam.rule(tx))
         ppm = compiled_action(compose_functors(P, P), m.rule(X))
-        mu_fn = mu.rule(X)
+        mu_fn = mu.rule(tx)
 
         def go(e: Element) -> Element:
             return mu_fn(ppm(plam(e)))
@@ -326,9 +316,8 @@ def compose_monads(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -
     return MonadMonoidal(
         f"{D.P.name}.{D.T.name}",
         PT,
-        NatTrans(Id(), PT, unit_rule, name="unit", needs_object=False),
-        NatTrans(compose_functors(PT, PT), PT, mult_rule, name="mult",
-                 needs_object=lam.needs_object),
+        derived(Id(), PT, unit_rule, "unit", u, eta),
+        derived(compose_functors(PT, PT), PT, mult_rule, "mult", lam, m, mu),
     )
 
 

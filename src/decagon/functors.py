@@ -5,11 +5,12 @@ Power is the covariant finite powerset (direct image on morphisms); Exp(R)
 is X -> X^R with postcomposition.  Comp(F,G) applies G first: it sends X to
 F(G(X)).
 
-Besides the table-level action ``apply_mor`` there is a pointwise action
-``apply_elem`` that pushes a single element through F(f) without ever
-materialising intermediate carriers.  Deeply iterated words (powersets of
-powersets) are only tractable pointwise, so every exhaustive checker in
-this package is built on it.
+The one element action is ``compiled_action``: it turns F and f into a
+closure tree that pushes single elements through F(f) without ever
+materialising intermediate carriers, with a memo per node.  Deeply iterated
+words (powersets of powersets) are only tractable pointwise, so every
+checker in this package is built on it, and the table-level ``apply_mor``
+is one compiled action run over the domain.
 """
 
 from __future__ import annotations
@@ -131,23 +132,7 @@ def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
 
 def apply_elem(F: FunctorExpr, fn: Callable[[Element], Element], e: Element) -> Element:
     """Push one element of F(X) through F(f), where fn is f on elements."""
-    if isinstance(F, Id):
-        return fn(e)
-    if isinstance(F, Const):
-        return e
-    if isinstance(F, Sum):
-        if type(e) is Inl:
-            return Inl(apply_elem(F.left, fn, e.value))
-        return Inr(apply_elem(F.right, fn, e.value))
-    if isinstance(F, Prod):
-        return Pair(apply_elem(F.left, fn, e.fst), apply_elem(F.right, fn, e.snd))
-    if isinstance(F, Power):
-        return subset(fn(m) for m in e._members)
-    if isinstance(F, Exp):
-        return FnTable(tuple((k, fn(v)) for k, v in e.entries))
-    if isinstance(F, Comp):
-        return apply_elem(F.outer, lambda y: apply_elem(F.inner, fn, y), e)
-    raise TypeError(f"not a FunctorExpr: {F!r}")
+    return compiled_action(F, fn)(e)
 
 
 def compiled_action(F: FunctorExpr, fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
@@ -217,7 +202,8 @@ def apply_mor(F: FunctorExpr, f: FinFn) -> FinFn:
     """Full table of F(f); boundaries are F applied to f's boundaries."""
     dom = apply_obj(F, f.dom)
     cod = apply_obj(F, f.cod)
-    return FinFn._raw(dom, cod, {e: apply_elem(F, f, e) for e in dom.elements})
+    act = compiled_action(F, f)
+    return FinFn._raw(dom, cod, {e: act(e) for e in dom.elements})
 
 
 def size_within(F: FunctorExpr, n: int, cap: int) -> int:

@@ -232,15 +232,12 @@ def extensive_to_monoidal(M: MonadExtensive, F: FunctorExpr, universe: TestUnive
     return MonadMonoidal(M.name, F, unit, mult)
 
 
-class KleisliCat(Category):
-    """Kleisli category of an extensive monad: hom(X, Y) = hom(X, PY)."""
-
-
 class ConstructionRefused(ValueError):
     """A construction's precondition check failed."""
 
 
-def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> KleisliCat:
+def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Category:
+    """Kleisli category of an extensive monad: hom(X, Y) = hom(X, PY)."""
     if universe is not None:
         pre = check_monad_extensive(M, universe)
         if not pre.ok:
@@ -248,7 +245,7 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Kleis
             raise ConstructionRefused(f"extensive laws fail for {M.name}: {failing}")
     base = M.ambient
     cached_ext = memoised(M.ext)
-    return KleisliCat(
+    return Category(
         name=f"kleisli({M.name})",
         obj=lambda Y: base.obj(M.obj(Y)),
         compose=lambda g, f: base.compose(cached_ext(g), f),

@@ -54,7 +54,6 @@ class SearchResult:
     natural: int
     per_axiom: dict[str, int]
     survivors: list  # tabulated NatTrans
-    exhaustive: bool
     forms_agree: bool = True
 
 
@@ -179,7 +178,6 @@ def enumerate_candidates(spec: SearchSpec) -> SearchResult:
         natural=len(natural),
         per_axiom=per_axiom,
         survivors=first,
-        exhaustive=True,
         forms_agree=agree,
     )
 

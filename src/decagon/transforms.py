@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .elements import Element, FinFn, FinSet
-from .functors import FunctorExpr, apply_elem, apply_mor, apply_obj
+from .functors import (
+    FunctorExpr,
+    apply_mor,
+    apply_obj,
+    compiled_action,
+    compose_functors,
+    size_within,
+)
 
 ComponentRule = Callable[[FinSet], Callable[[Element], Element]]
 
@@ -37,9 +44,6 @@ class NatTrans:
     needs_object: bool = False
     tabulated_objects: Optional[list[FinSet]] = None
 
-    def component_fn(self, X: FinSet) -> Callable[[Element], Element]:
-        return self.rule(X)
-
     def component(self, X: FinSet) -> FinFn:
         """Materialised component table at X."""
         dom = apply_obj(self.src, X)
@@ -51,6 +55,15 @@ class NatTrans:
 def formula(src: FunctorExpr, tgt: FunctorExpr, fn: Callable[[Element], Element], name: str = "") -> NatTrans:
     """Object-independent component family given by one element formula."""
     return NatTrans(src, tgt, lambda X: fn, name=name)
+
+
+def derived(src: FunctorExpr, tgt: FunctorExpr, rule: ComponentRule, name: str,
+            *parts: NatTrans) -> NatTrans:
+    """Family whose rule is built from the components of ``parts``: it
+    needs its object when any part does, and is tabulated where they are."""
+    objects = [X for p in parts for X in p.tabulated_objects or ()]
+    return NatTrans(src, tgt, rule, name=name, needs_object=any(p.needs_object for p in parts),
+                    tabulated_objects=list(dict.fromkeys(objects)) or None)
 
 
 def identity_nat(F: FunctorExpr, name: str = "id") -> NatTrans:
@@ -87,7 +100,7 @@ def tabulated(
             raise ComponentUnavailable(f"{name or 'tabulated family'} has no component at size {len(X)}")
         base, table = hit
         iso = _canonical_iso(X, base)
-        inv = FinFn._raw(base, X, dict(zip(base.elements, X.elements)))
+        inv = _canonical_iso(base, X)
         fwd = apply_mor(src, iso)
         back = apply_mor(tgt, inv)
         return lambda e: back(table(fwd(e)))
@@ -106,8 +119,6 @@ class Step:
 
 
 def step_source(s: Step) -> FunctorExpr:
-    from .functors import compose_functors
-
     return compose_functors(s.prefix, s.nt.src, s.suffix)
 
 
@@ -117,8 +128,6 @@ class OversizeCarrier(Exception):
 
 def source_carrier(F: FunctorExpr, X: FinSet, cap: int) -> FinSet:
     """F(X), or ``OversizeCarrier`` when it would exceed ``cap``."""
-    from .functors import size_within
-
     if size_within(F, len(X), cap) > cap:
         raise OversizeCarrier(f"source carrier exceeds cap {cap}")
     return apply_obj(F, X)
@@ -130,13 +139,11 @@ def compiled_step(s: Step, X: FinSet, cap: int) -> Callable[[Element], Element]:
     Raises ``OversizeCarrier`` when a tabulated component's object would
     exceed ``cap`` and ``ComponentUnavailable`` when it is missing.
     """
-    from .functors import compiled_action, size_within
-
     if s.nt.needs_object:
         if size_within(s.suffix, len(X), cap) > cap:
             raise OversizeCarrier(f"inner object exceeds cap {cap}")
         X = apply_obj(s.suffix, X)
-    return compiled_action(s.prefix, s.nt.component_fn(X))
+    return compiled_action(s.prefix, s.nt.rule(X))
 
 
 def composite_map(
@@ -218,8 +225,9 @@ def extension(c: NatTrans, T: FunctorExpr) -> Callable[[FinFn], FinFn]:
             if Y is None:
                 raise ComponentUnavailable(
                     f"{c.name or 'family'} has no component at Y with {c.tgt!r}(Y) = {f.cod!r}")
-            c_fn = memo[key] = c.component_fn(Y)
+            c_fn = memo[key] = c.rule(Y)
+        tf = compiled_action(T, f)
         dom = apply_obj(T, f.dom)
-        return FinFn._raw(dom, f.cod, {e: c_fn(apply_elem(T, f, e)) for e in dom.elements})
+        return FinFn._raw(dom, f.cod, {e: c_fn(tf(e)) for e in dom.elements})
 
     return ext

@@ -414,6 +414,28 @@ def test_tabulated_lambda_law_skips_unavailable_components():
 # --- mixed laws --------------------------------------------------------------
 
 
+def test_tabulated_t_law_gives_verdicts_with_skips():
+    # T recovered from its extension data is tabulated on sizes <= 1; the
+    # families built from its unit and multiplication take their object, so
+    # a missing component is a skipped instance rather than a wrong lookup
+    from decagon.distlaw import _BUILTIN_COMPONENTS
+    from decagon.monads import extensive_to_monoidal
+
+    P, exc = builtin_monads()["powerset"], builtin_monads()["exception"]
+    T = extensive_to_monoidal(monoidal_to_extensive(exc), exc.functor, U1)
+    D = DistLaw("tabulated-T", T, P, _BUILTIN_COMPONENTS["exception-dist"](T, P))
+    alg = monoidal_to_algebra(D)
+    assert alg.alpha.needs_object and alg.alpha.tabulated_objects == U1.objects
+
+    def rows(report):
+        return [(v.axiom, v.passed, v.checked, v.skipped) for v in report.verdicts]
+
+    assert rows(check_algebra(alg, U1)) == [
+        ("unit-triangle", False, 0, 2), ("eta-square", True, 2, 0), ("hexagon", False, 0, 2)]
+    assert rows(check_monad_monoidal(compose_monads(alg), U1)) == [
+        ("unit-left", False, 0, 2), ("unit-right", True, 1, 1), ("associativity", False, 0, 2)]
+
+
 def test_coreader_strength_passes_both_mixed_suites():
     law = coreader_over_powerset()
     rep1 = check_mixed_decagon(law, U2)

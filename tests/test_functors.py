@@ -1,4 +1,8 @@
-from decagon.elements import Atom, FnTable, Inl, Inr, Pair, Subset, all_functions, atoms, compose, identity
+from hypothesis import assume, given, settings, strategies as st
+
+from decagon.elements import (
+    Atom, FnTable, Inl, Inr, Pair, Subset, all_functions, atoms, compose, identity, subset,
+)
 from decagon.functors import (
     Comp,
     Const,
@@ -7,6 +11,7 @@ from decagon.functors import (
     Power,
     Prod,
     Sum,
+    apply_elem,
     apply_mor,
     apply_obj,
     compose_functors,
@@ -74,3 +79,53 @@ def test_compose_functors_strips_units():
     assert compose_functors() == Id()
     TP = compose_functors(T, Power())
     assert apply_obj(TP, atoms("a")) == apply_obj(T, apply_obj(Power(), atoms("a")))
+
+
+def reference_action(F, fn, e):
+    """F(f) on one element by a recursive, unmemoised walk of the grammar."""
+    if isinstance(F, Id):
+        return fn(e)
+    if isinstance(F, Const):
+        return e
+    if isinstance(F, Sum):
+        if type(e) is Inl:
+            return Inl(reference_action(F.left, fn, e.value))
+        return Inr(reference_action(F.right, fn, e.value))
+    if isinstance(F, Prod):
+        return Pair(reference_action(F.left, fn, e.fst), reference_action(F.right, fn, e.snd))
+    if isinstance(F, Power):
+        return subset(fn(m) for m in e.members)
+    if isinstance(F, Exp):
+        return FnTable(tuple((k, fn(v)) for k, v in e.entries))
+    if isinstance(F, Comp):
+        return reference_action(F.outer, lambda y: reference_action(F.inner, fn, y), e)
+    raise TypeError(f"not a FunctorExpr: {F!r}")
+
+
+_LEAVES = [Id(), Power(), Const(atoms("k")), Const(atoms("k1", "k2")), Exp(atoms("r")),
+           Exp(atoms("r1", "r2"))]
+
+
+def functor_exprs(depth):
+    leaf = st.sampled_from(_LEAVES)
+    if depth == 0:
+        return leaf
+    sub = functor_exprs(depth - 1)
+    return st.one_of(leaf, st.builds(Sum, sub, sub), st.builds(Prod, sub, sub),
+                     st.builds(Comp, sub, sub))
+
+
+@given(functor_exprs(3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_mor_matches_the_recursive_reference_action(F, data):
+    n = data.draw(st.integers(0, 2))
+    m = data.draw(st.integers(1 if n else 0, 2))
+    X, Y = SMALL[n], SMALL[m]
+    assume(size_within(F, 2, 512) <= 512)
+    f = data.draw(st.sampled_from(all_functions(X, Y)))
+    table = apply_mor(F, f)
+    assert table.dom == apply_obj(F, X) and table.cod == apply_obj(F, Y)
+    for e in table.dom.elements:
+        expected = reference_action(F, f, e)
+        assert table(e) is expected
+        assert apply_elem(F, f, e) is expected
