@@ -78,7 +78,18 @@ def _load_registry(path: str | None):
 
 
 def _universe(args) -> TestUniverse:
-    return TestUniverse.sizes(args.max_size, seed=args.seed)
+    return TestUniverse.sizes(args.max_size)
+
+
+def _law(laws, name: str, mixed: str | None = None, kind: str = "law"):
+    """The registered law ``name``; a mixed law is refused with the message
+    ``mixed`` when one is given."""
+    if name not in laws:
+        raise ConfigError(f"unknown {kind} {name!r}")
+    law = laws[name]
+    if mixed and isinstance(law, MixedLaw):
+        raise ConfigError(mixed)
+    return law
 
 
 _MONAD_FORMS = ("monoidal", "extensive", "all")
@@ -164,7 +175,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--registry", help="path to a JSON registry of monads and laws")
         p.add_argument("--max-size", type=int, default=2, choices=range(0, 4),
                        help="largest carrier size in the test universe")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled policies")
         p.add_argument("--timing", action="store_true",
                        help="report wall-clock timing (breaks byte-identical output)")
 
@@ -237,9 +247,7 @@ def _run_check_monad(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 
 def _run_check_law(args, monads, laws) -> tuple[int, dict, list[str]]:
-    if args.law not in laws:
-        raise ConfigError(f"unknown law {args.law!r}")
-    law = laws[args.law]
+    law = _law(laws, args.law)
     universe = _universe(args)
     reports = _law_reports(law, args.form, universe)
     ok = all(r.ok for r in reports)
@@ -251,11 +259,7 @@ def _run_check_law(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 
 def _run_convert(args, monads, laws) -> tuple[int, dict, list[str]]:
-    if args.law not in laws:
-        raise ConfigError(f"unknown law {args.law!r}")
-    law = laws[args.law]
-    if isinstance(law, MixedLaw):
-        raise ConfigError("mixed laws have no algebra or operator form")
+    law = _law(laws, args.law, "mixed laws have no algebra or operator form")
     universe = _universe(args)
     alg = monoidal_to_algebra(law)
     ok = True
@@ -278,11 +282,7 @@ def _run_convert(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 
 def _run_compose(args, monads, laws) -> tuple[int, dict, list[str]]:
-    if args.law not in laws:
-        raise ConfigError(f"unknown law {args.law!r}")
-    law = laws[args.law]
-    if isinstance(law, MixedLaw):
-        raise ConfigError("mixed laws do not compose the monads")
+    law = _law(laws, args.law, "mixed laws do not compose the monads")
     universe = _universe(args)
     composite = compose_monads(monoidal_to_algebra(law))
     report = check_monad_monoidal(composite, universe)
@@ -292,11 +292,7 @@ def _run_compose(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 
 def _run_extend(args, monads, laws) -> tuple[int, dict, list[str]]:
-    if args.law not in laws:
-        raise ConfigError(f"unknown law {args.law!r}")
-    law = laws[args.law]
-    if isinstance(law, MixedLaw):
-        raise ConfigError("mixed laws do not extend to the Kleisli category")
+    law = _law(laws, args.law, "mixed laws do not extend to the Kleisli category")
     universe = _universe(args)
     ext = extend_to_kleisli(monoidal_to_algebra(law))
     report = check_monad_extensive(ext, universe)
@@ -306,11 +302,7 @@ def _run_extend(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 def _run_search(args, monads, laws) -> tuple[int, dict, list[str]]:
     if args.law:
-        if args.law not in laws:
-            raise ConfigError(f"unknown law {args.law!r}")
-        law = laws[args.law]
-        if isinstance(law, MixedLaw):
-            raise ConfigError("search handles monad-monad pairs only")
+        law = _law(laws, args.law, "search handles monad-monad pairs only")
         T, Pm = law.T, law.P
         reference = law.lam
     elif len(args.monad) == 2:
@@ -347,12 +339,8 @@ def _interpretation_by_name(name: str, laws):
 
     if name == "identity":
         return identity_interpretation()
-    if name not in laws:
-        raise ConfigError(f"unknown interpretation {name!r}")
-    law = laws[name]
-    if isinstance(law, MixedLaw):
-        raise ConfigError("mixed laws do not interpret the signature")
-    return law_interpretation(law)
+    return law_interpretation(_law(laws, name, "mixed laws do not interpret the signature",
+                                   kind="interpretation"))
 
 
 def _load_signature(path: str | None):
@@ -391,7 +379,7 @@ def _run_pasting_derive(args, monads, laws) -> tuple[int, dict, list[str]]:
         build_omega_from_pentagons,
         build_pentagons_from_omega,
     )
-    from .pasting.signature import _term_str
+    from .pasting.signature import term_to_text
     from .pasting.terms import boundary
 
     sig = _load_signature(args.signature)
@@ -417,7 +405,7 @@ def _run_pasting_derive(args, monads, laws) -> tuple[int, dict, list[str]]:
         declared = (sig.cells[cell].src, sig.cells[cell].tgt)
         good = boundary(term, sig) == declared
         ok = ok and good
-        results[name] = {"boundary_matches": good, "term": _term_str(term)}
+        results[name] = {"boundary_matches": good, "term": term_to_text(term)}
     payload = _report_json("pasting-derive", "-", [], extra={"derivations": results})
     return (0 if ok else 1), payload, [f"{k}: {'ok' if v['boundary_matches'] else 'FAIL'}"
                                        for k, v in results.items()]

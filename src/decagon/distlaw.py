@@ -15,6 +15,7 @@ checker plus the classical four-axiom checker for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .elements import (
@@ -34,16 +35,14 @@ from .monads import (
     ConstructionRefused,
     MonadExtensive,
     MonadMonoidal,
-    _instances,
     builtin_monads,
     kleisli,
-    memoised,
     monad_from_config,
     monoidal_to_extensive,
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
-from .report import LawReport, TestUniverse, compare, quantify
+from .report import LawReport, TestUniverse, compare, instances, quantify
 from .transforms import NatTrans, derived, extension, formula, tabulated
 
 
@@ -155,11 +154,11 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
     """Three equations on the extension operator, quantified over homs.
 
     Each distinct morphism goes through the operator, and each op(g)
-    through P's extension, once per call; an instance that needs an
-    unavailable component is skipped."""
+    through P's extension, once per call; an instance that refuses, such
+    as one that needs an unavailable component, is skipped."""
     T, P, TF = D.T, D.P, D.T.functor
-    op = memoised(D.op)
-    op_p = memoised(lambda g: P.ext(op(g)))
+    op = cache(D.op)
+    op_p = cache(lambda g: P.ext(op(g)))
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, P.obj(apply_obj(TF, Y))
@@ -167,14 +166,14 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
     def ax_unit():
         for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)]):
             uX = T.unit.component(X)
-            yield from _instances(f"f:{len(X)}->{len(Y)}", fs,
-                                  lambda f: (compose(op(f), uX), f))
+            yield from instances(f"f:{len(X)}->{len(Y)}", fs,
+                                 lambda f: (compose(op(f), uX), f))
 
     def ax_eta():
         for (X,), fs in quantify(universe, "X", lambda X: []):
             etaTX = P.unit_at(apply_obj(TF, X))
-            yield from _instances(f"|X|={len(X)}", fs,
-                                  lambda: (op(etaTX), compose(etaTX, T.mult.component(X))))
+            yield from instances(f"|X|={len(X)}", fs,
+                                 lambda: (op(etaTX), compose(etaTX, T.mult.component(X))))
 
     def op_composition(g: FinFn, f: FinFn) -> tuple:
         og_p = op_p(g)
@@ -182,8 +181,8 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
 
     def ax_comp():
         for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)]):
-            yield from _instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
-                                  op_composition)
+            yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
+                                 op_composition)
 
     return LawReport(f"noiter:{D.name}", universe.describe(), [
         compare("op-unit", ax_unit()),
@@ -269,11 +268,8 @@ def algebra_to_noiter(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
 
 def noiter_to_algebra(
     D: DistLawNoIteration, universe: TestUniverse, P_monoidal: MonadMonoidal,
-    check: bool = False,
 ) -> DistLawAlgebra:
     """Recover alpha at X as op applied to the identity on PTX."""
-    if check:
-        _require(check_noiter(D, universe), f"no-iteration form of {D.name}")
     T, P = D.T.functor, P_monoidal.functor
     tables: dict[FinSet, FinFn] = {}
     for X in universe.objects:

@@ -14,11 +14,11 @@ grammar stays closed under iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from functools import cache
+from typing import Callable, Iterable, Optional
 
 from .elements import (
     Atom,
-    CompositionError,
     Element,
     FinFn,
     FinSet,
@@ -44,9 +44,8 @@ from .functors import (
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells
-from .report import LawReport, TestUniverse, compare, quantify
+from .report import LawReport, TestUniverse, compare, instances, quantify
 from .transforms import (
-    ComponentUnavailable,
     NatTrans,
     extension,
     formula,
@@ -122,50 +121,13 @@ def check_comonad(C: ComonadMonoidal, universe: TestUniverse) -> LawReport:
     return check_cells(f"comonad:{C.name}", COMONAD_CELLS, interp, universe, mixed_signature())
 
 
-def _composed(at: str, sides: Callable[..., tuple], *args) -> tuple:
-    """``(at, sides(*args))``; ``(at, None)``, which ``compare`` counts as
-    skipped, when a component the sides need is unavailable, or
-    ``(at, error)``, a failing instance, when the sides do not compose."""
-    try:
-        return at, sides(*args)
-    except ComponentUnavailable:
-        return at, None
-    except CompositionError as exc:
-        return at, exc
-
-
-def _instances(at: str, morphisms: Optional[Iterator[tuple]],
-               sides: Callable[..., tuple]) -> Iterator[tuple]:
-    """``_composed(at, sides, *fs)`` per tuple ``fs`` of ``morphisms``; one
-    skipped instance when a hom-set was over the cap (``morphisms`` None)."""
-    if morphisms is None:
-        yield at, None
-        return
-    for fs in morphisms:
-        yield _composed(at, sides, *fs)
-
-
-def memoised(op: Callable[[FinFn], FinFn]) -> Callable[[FinFn], FinFn]:
-    """``op`` with a memo from each distinct ``FinFn`` to its image; the
-    memo lives as long as the returned function."""
-    memo: dict[FinFn, FinFn] = {}
-
-    def cached(f: FinFn) -> FinFn:
-        out = memo.get(f)
-        if out is None:
-            out = memo[f] = op(f)
-        return out
-
-    return cached
-
-
 def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawReport:
     """The three Kleisli-triple equations, quantified over ambient homs.
 
     Each distinct morphism is extended once per call; an instance that
-    needs an unavailable component is skipped."""
+    refuses, such as one that needs an unavailable component, is skipped."""
     amb = M.ambient
-    ext = memoised(M.ext)
+    ext = cache(M.ext)
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, amb.obj(M.obj(Y))
@@ -173,13 +135,13 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
     def extension_unit():
         for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)]):
             uX = M.unit_at(X)
-            yield from _instances(f"f:{len(X)}->{len(Y)}", fs,
-                                  lambda f: (amb.compose(ext(f), uX), f))
+            yield from instances(f"f:{len(X)}->{len(Y)}", fs,
+                                 lambda f: (amb.compose(ext(f), uX), f))
 
     def unit_extension():
         for (X,), fs in quantify(universe, "X", lambda X: []):
-            yield from _instances(f"|X|={len(X)}", fs,
-                                  lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
+            yield from instances(f"|X|={len(X)}", fs,
+                                 lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
 
     def extension_composition(g: FinFn, f: FinFn) -> tuple:
         eg = ext(g)
@@ -187,8 +149,8 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 
     def composition():
         for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)]):
-            yield from _instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
-                                  extension_composition)
+            yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
+                                 extension_composition)
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
         compare("extension-unit", extension_unit()),
@@ -201,7 +163,7 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 # converters and the Kleisli category
 
 
-def monoidal_to_extensive(M: MonadMonoidal, ambient: Category = BASE_CATEGORY) -> MonadExtensive:
+def monoidal_to_extensive(M: MonadMonoidal) -> MonadExtensive:
     """Extension of f: X -> TY as multiplication after T(f)."""
     T = M.functor
     return MonadExtensive(
@@ -209,7 +171,6 @@ def monoidal_to_extensive(M: MonadMonoidal, ambient: Category = BASE_CATEGORY) -
         obj=lambda X: apply_obj(T, X),
         unit_at=lambda X: M.unit.component(X),
         ext=extension(M.mult, T),
-        ambient=ambient,
     )
 
 
@@ -244,7 +205,7 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Categ
             failing = [v.axiom for v in pre.verdicts if not v.passed]
             raise ConstructionRefused(f"extensive laws fail for {M.name}: {failing}")
     base = M.ambient
-    cached_ext = memoised(M.ext)
+    cached_ext = cache(M.ext)
     return Category(
         name=f"kleisli({M.name})",
         obj=lambda Y: base.obj(M.obj(Y)),
@@ -257,19 +218,15 @@ def check_category(C: Category, universe: TestUniverse) -> LawReport:
     """Associativity and unitality of a finite category's composition."""
     def unitality():
         for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [(X, C.obj(Y))]):
-            at = f"f:{len(X)}->{len(Y)}"
-            if fs is None:
-                yield at, None
-                continue
-            right, left = f"{at},id-right", f"{at},id-left"
-            for f, in fs:
-                yield _composed(right, lambda: (C.compose(f, C.identity(X)), f))
-                yield _composed(left, lambda: (C.compose(C.identity(Y), f), f))
+            yield from instances(f"f:{len(X)}->{len(Y)}", fs, {
+                ",id-right": lambda f: (C.compose(f, C.identity(X)), f),
+                ",id-left": lambda f: (C.compose(C.identity(Y), f), f),
+            })
 
     def associativity():
         for (X, Y, Z, W), fghs in quantify(universe, "XYZW", lambda X, Y, Z, W: [
                 (X, C.obj(Y)), (Y, C.obj(Z)), (Z, C.obj(W))]):
-            yield from _instances(
+            yield from instances(
                 f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)},h:{len(Z)}->{len(W)}", fghs,
                 lambda f, g, h: (C.compose(h, C.compose(g, f)), C.compose(C.compose(h, g), f)))
 

@@ -26,15 +26,8 @@ from dataclasses import dataclass, replace
 
 from ..elements import FinFn, FinSet
 from ..functors import Const, FunctorExpr, Id, apply_obj, compose_functors
-from ..report import AxiomVerdict, LawReport, TestUniverse, compare, quantify
-from ..transforms import (
-    ComponentUnavailable,
-    NatTrans,
-    OversizeCarrier,
-    Step,
-    compiled_step,
-    source_carrier,
-)
+from ..report import AxiomVerdict, LawReport, TestUniverse, compare, instances, quantify
+from ..transforms import NatTrans, Step, compiled_step, source_carrier
 from .signature import Signature
 from .terms import CellGen, cells_used
 from .words import ArrowAtom, Path, Word
@@ -190,30 +183,20 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
         return [tuple(apply_obj(interp.word_functor(w, objects), X) for w in (g.src, g.tgt))
                 for g in generics]
 
-    def instances():
+    def composites(sides: list[_Side], *fs: FinFn) -> tuple[dict, dict]:
+        chosen = {g.name: fn for g, fn in zip(generics, fs)}
+        return tuple(side.composite(chosen) for side in sides)
+
+    def cell_instances():
         for X in universe.objects[:1] if obj_names else universe.objects:
             for combo, morphisms in quantify(
                     universe, obj_names, lambda *combo: ends(X, dict(zip(obj_names, combo)))):
                 objects = dict(zip(obj_names, combo))
                 at = f"|X|={len(X)}" + "".join(f",{k}={len(v)}" for k, v in objects.items())
-                if morphisms is None:
-                    yield at, None
-                    continue
-                try:
-                    sides = [_Side(interp, path, objects, X, cap) for path in (cell.src, cell.tgt)]
-                except (OversizeCarrier, ComponentUnavailable):
-                    sides = None
-                for fs in morphisms:
-                    pair = None
-                    if sides:
-                        chosen = {g.name: fn for g, fn in zip(generics, fs)}
-                        try:
-                            pair = tuple(side.composite(chosen) for side in sides)
-                        except (OversizeCarrier, ComponentUnavailable):
-                            pass
-                    yield at, pair
+                yield from instances(at, morphisms, composites, prepare=lambda: [
+                    _Side(interp, path, objects, X, cap) for path in (cell.src, cell.tgt)])
 
-    return compare(f"cell:{cell.name}", instances())
+    return compare(f"cell:{cell.name}", cell_instances())
 
 
 def check_cells(

@@ -189,7 +189,8 @@ def _path_str(p: Path) -> str:
     )
 
 
-def _term_str(t: PastingTerm) -> str:
+def term_to_text(t: PastingTerm) -> str:
+    """The s-expression of a pasting term, as signature files write it."""
     if isinstance(t, CellRef):
         return f"(cell {t.name})"
     if isinstance(t, Inverse):
@@ -197,16 +198,16 @@ def _term_str(t: PastingTerm) -> str:
     if isinstance(t, IdCell):
         return f"(id {_path_str(t.path)})"
     if isinstance(t, Whisker):
-        return f"(whisker {_word_str(t.left)} {_term_str(t.term)} {_word_str(t.right)})"
+        return f"(whisker {_word_str(t.left)} {term_to_text(t.term)} {_word_str(t.right)})"
     if isinstance(t, VComp):
-        return f"(vcomp {_term_str(t.upper)} {_term_str(t.lower)})"
+        return f"(vcomp {term_to_text(t.upper)} {term_to_text(t.lower)})"
     if isinstance(t, HComp):
-        return f"(hcomp {_term_str(t.first)} {_term_str(t.second)})"
+        return f"(hcomp {term_to_text(t.first)} {term_to_text(t.second)})"
     raise ValueError(f"not a term: {t!r}")
 
 
-def signature_to_text(sig: Signature, version: int = 1) -> str:
-    lines = ["(signature", f"  (version {version})", f"  (alphabet {' '.join(sig.alphabet)})"]
+def signature_to_text(sig: Signature) -> str:
+    lines = ["(signature", "  (version 1)", f"  (alphabet {' '.join(sig.alphabet)})"]
     for a in sig.arrows.values():
         lines.append(f"  (arrow {a.name} ({_word_str(a.src)}) ({_word_str(a.tgt)}))")
     for c in sig.cells.values():
@@ -215,8 +216,8 @@ def signature_to_text(sig: Signature, version: int = 1) -> str:
         lines.append(f"    (tgt {_path_str(c.tgt)}))")
     for name, (lhs, rhs) in sig.axioms.items():
         lines.append(f"  (axiom {name}")
-        lines.append(f"    {_term_str(lhs)}")
-        lines.append(f"    {_term_str(rhs)})")
+        lines.append(f"    {term_to_text(lhs)}")
+        lines.append(f"    {term_to_text(rhs)})")
     lines.append(")")
     return "\n".join(lines) + "\n"
 

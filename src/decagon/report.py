@@ -4,13 +4,14 @@ A report claims "pass" for an axiom only if every instance that fits the
 carrier cap was evaluated equal; instances whose source carrier would be
 astronomically large (iterated powersets grow as towers of exponentials)
 are counted in ``skipped`` rather than silently ignored.  Every checker
-reaches its verdicts through the one kernel ``compare``.
+draws its instances with ``quantify``, settles each one in ``instances``
+and reaches its verdicts through the one kernel ``compare``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 from weakref import WeakKeyDictionary
@@ -23,14 +24,11 @@ HOM_CAP = 4096
 
 @dataclass
 class TestUniverse:
-    """Objects and morphism policy over which all exhaustive checks run."""
+    """Objects over which all exhaustive checks run."""
 
     __test__ = False  # not a pytest class
 
     objects: list[FinSet]
-    morphism_policy: str = "all"  # "all" | "sample"
-    seed: Optional[int] = None
-    sample_size: int = 20
     depth_bound: int = 7
     carrier_cap: int = DEFAULT_CARRIER_CAP
     _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -39,20 +37,9 @@ class TestUniverse:
                                          repr=False, compare=False)
 
     @staticmethod
-    def sizes(max_size: int = 2, policy: str = "all", seed: Optional[int] = None,
-              carrier_cap: int = DEFAULT_CARRIER_CAP) -> "TestUniverse":
+    def sizes(max_size: int = 2) -> "TestUniverse":
         labels = ["a", "b", "c", "d"]
-        objs = [atoms(*labels[:n]) for n in range(max_size + 1)]
-        return TestUniverse(objs, morphism_policy=policy, seed=seed, carrier_cap=carrier_cap)
-
-    def morphisms(self, X: FinSet, Y: FinSet) -> Iterator[FinFn]:
-        pool = self.hom(X, Y)
-        if self.morphism_policy == "all":
-            yield from pool
-            return
-        rng = random.Random(self.seed)
-        k = min(self.sample_size, len(pool))
-        yield from (pool[i] for i in sorted(rng.sample(range(len(pool)), k)))
+        return TestUniverse([atoms(*labels[:n]) for n in range(max_size + 1)])
 
     def hom(self, X: FinSet, Y: FinSet) -> list[FinFn]:
         """All functions X -> Y, one list per hom-set for the life of the
@@ -65,12 +52,11 @@ class TestUniverse:
     def all_morphisms(self) -> Iterator[FinFn]:
         for X in self.objects:
             for Y in self.objects:
-                yield from self.morphisms(X, Y)
+                yield from self.hom(X, Y)
 
     def describe(self) -> str:
         sizes = ",".join(str(len(X)) for X in self.objects)
-        seed = "-" if self.seed is None else str(self.seed)
-        return f"sizes={sizes} policy={self.morphism_policy} seed={seed} cap={self.carrier_cap}"
+        return f"sizes={sizes} cap={self.carrier_cap}"
 
 
 @dataclass(frozen=True)
@@ -126,6 +112,49 @@ def quantify(
             yield objects, None
         else:
             yield objects, product(*(universe.hom(dom, cod) for dom, cod in ends))
+
+
+class Refused(Exception):
+    """An instance that cannot be evaluated, such as one whose carrier is
+    over the cap or whose component is missing; it counts as skipped."""
+
+
+def instances(at: str, morphisms: Optional[Iterable[tuple]],
+              sides: Callable[..., tuple] | dict[str, Callable[..., tuple]],
+              prepare: Optional[Callable[[], object]] = None) -> Iterator[tuple]:
+    """The settled instances of one object assignment of ``quantify``.
+
+    ``(at, sides(*fs))`` per tuple ``fs`` of ``morphisms``: ``(at, None)``,
+    which ``compare`` counts as skipped, when the sides refuse, or
+    ``(at, error)``, a failing instance, when they do not compose.  A
+    hom-set over the cap (``morphisms`` None) is one skipped instance.
+    ``sides`` is a dict from a label, appended to ``at``, to the sides of
+    each equation when an instance states several.  ``prepare`` builds
+    what every instance of the assignment shares, once, and ``sides``
+    takes it first; when it refuses, every instance is skipped.
+    """
+    if morphisms is None:
+        yield at, None
+        return
+    labelled = sides.items() if isinstance(sides, dict) else [("", sides)]
+    equations = [(at + label, eq) for label, eq in labelled]
+    if prepare is not None:
+        try:
+            shared = prepare()
+            equations = [(where, partial(eq, shared)) for where, eq in equations]
+        except Refused:
+            equations = [(where, None) for where, _ in equations]
+    for fs in morphisms:
+        for where, eq in equations:
+            settled = None
+            if eq is not None:
+                try:
+                    settled = eq(*fs)
+                except Refused:
+                    pass
+                except CompositionError as exc:
+                    settled = exc
+            yield where, settled
 
 
 def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> AxiomVerdict:

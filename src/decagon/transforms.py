@@ -8,7 +8,8 @@ arbitrarily deep carriers.  Tabulated families (search candidates,
 operators recovered from extension data) know their components only on a
 small universe; they transport along the canonical order-preserving
 bijection to same-size objects and raise ``ComponentUnavailable`` beyond
-that, which exhaustive checkers count as a skipped instance.
+that, a ``report.Refused`` that exhaustive checkers count as a skipped
+instance.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .functors import (
     compose_functors,
     size_within,
 )
+from .report import Refused
 
 ComponentRule = Callable[[FinSet], Callable[[Element], Element]]
 
 
-class ComponentUnavailable(Exception):
+class ComponentUnavailable(Refused):
     """A component was requested at an object where it is not defined."""
 
 
@@ -122,7 +124,7 @@ def step_source(s: Step) -> FunctorExpr:
     return compose_functors(s.prefix, s.nt.src, s.suffix)
 
 
-class OversizeCarrier(Exception):
+class OversizeCarrier(Refused):
     """A composite evaluation would need a carrier above the configured cap."""
 
 

@@ -282,7 +282,7 @@ def test_criterion_9_cli_determinism(announce):
     t0 = time.time()
     args = [sys.executable, "-m", "decagon.cli", "check-law",
             "--law", "exception-over-powerset", "--form", "monoidal",
-            "--max-size", "1", "--seed", "11"]
+            "--max-size", "1"]
     outs = []
     for _ in range(2):
         proc = subprocess.run(args, capture_output=True, text=True)
@@ -292,4 +292,4 @@ def test_criterion_9_cli_determinism(announce):
     payload = json.loads(outs[0])
     assert set(payload) >= {"command", "universe", "verdicts", "witnesses",
                             "timing_ms", "exhaustive"}
-    announce(9, True, "repeated CLI invocations with a fixed seed are byte-identical", t0)
+    announce(9, True, "repeated CLI invocations are byte-identical", t0)

@@ -271,6 +271,26 @@ def test_noiter_broken_op_fails_unit():
     assert not report.verdict("op-unit").passed
 
 
+def test_noiter_skips_operator_refusals():
+    # op refuses every morphism out of a two-element set; every other
+    # instance is still evaluated
+    from decagon.distlaw import DistLawNoIteration
+    from decagon.transforms import OversizeCarrier
+
+    good = algebra_to_noiter(monoidal_to_algebra(exception_over_powerset()))
+
+    def op(f):
+        if len(f.dom) == 2:
+            raise OversizeCarrier("refused")
+        return good.op(f)
+
+    report = check_noiter(DistLawNoIteration("refusing", good.T, good.P, op), U2)
+    full = check_noiter(good, U2)
+    assert all(v.passed and v.skipped > 0 for v in report.verdicts), report.summary()
+    assert [v.checked + v.skipped for v in report.verdicts] == [v.checked for v in full.verdicts]
+    assert all(v.skipped == 0 for v in full.verdicts)
+
+
 def test_round_trip_algebra_noiter_algebra():
     for law in [exception_over_powerset(), writer_over_powerset()]:
         D = monoidal_to_algebra(law)

@@ -198,6 +198,38 @@ def test_check_monad_extensive_extends_each_morphism_once(name):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_refusals_are_report_refused():
+    from decagon.report import Refused
+    from decagon.transforms import ComponentUnavailable, OversizeCarrier
+
+    assert issubclass(OversizeCarrier, Refused)
+    assert issubclass(ComponentUnavailable, Refused)
+
+
+def test_universe_describes_its_sizes_and_cap():
+    assert TestUniverse.sizes(2).describe() == "sizes=0,1,2 cap=200000"
+
+
+def test_check_monad_extensive_skips_extensions_that_refuse():
+    # ext refuses every morphism out of a two-element set; every other
+    # instance is still evaluated
+    from decagon.monads import MonadExtensive
+    from decagon.transforms import OversizeCarrier
+
+    good = monoidal_to_extensive(builtin_monads()["exception"])
+
+    def ext(f):
+        if len(f.dom) == 2:
+            raise OversizeCarrier("refused")
+        return good.ext(f)
+
+    report = check_monad_extensive(MonadExtensive("refusing", good.obj, good.unit_at, ext), U2)
+    full = check_monad_extensive(good, U2)
+    assert all(v.passed and v.skipped > 0 for v in report.verdicts), report.summary()
+    assert [v.checked + v.skipped for v in report.verdicts] == [v.checked for v in full.verdicts]
+    assert all(v.skipped == 0 for v in full.verdicts)
+
+
 def test_compare_names_a_domain_mismatch():
     from decagon.report import compare
 
