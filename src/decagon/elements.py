@@ -17,6 +17,11 @@ give the members in the structural order.  The order key
 slot, because most elements are intermediates that are never sorted or
 printed.  Invariant: the table is never cleared, because identity equality
 and the intern order hold only while it outlives every element.
+
+Carriers need no order keys: ``functors.apply_obj`` builds each one in the
+structural order, so keys serve only the printers, ``fn_table`` and a
+``FinSet`` of user input, which is sorted.  A carrier's membership set is
+built on its first ``in``.
 """
 
 from __future__ import annotations
@@ -202,17 +207,33 @@ def element_repr(e: Element) -> str:
 
 
 class FinSet:
-    """Finite carrier with canonically ordered, duplicate-free elements."""
+    """Finite carrier with canonically ordered, duplicate-free elements.
+
+    ``FinSet(iterable)``, for user input such as ``atoms``, deduplicates
+    and sorts by the order key.  ``functors.apply_obj`` lists every carrier
+    in the structural order already and hands it to ``_raw``, so no carrier
+    needs a key.  The membership set is built on the first ``in``.
+    """
 
     __slots__ = ("elements", "_members", "_hash")
 
     def __init__(self, elements: Iterable[Element] = ()):
-        self.elements = tuple(sorted(dict.fromkeys(elements), key=element_key))
-        self._members = frozenset(self.elements)
-        self._hash = hash(self.elements)
+        elements = tuple(sorted(dict.fromkeys(elements), key=element_key))
+        self.elements, self._members, self._hash = elements, None, hash(elements)
+
+    @classmethod
+    def _raw(cls, elements: tuple) -> "FinSet":
+        """Internal constructor for elements already distinct and in the
+        structural order; skips the sort.  Only ``apply_obj`` calls it."""
+        s = cls.__new__(cls)
+        s.elements, s._members, s._hash = elements, None, hash(elements)
+        return s
 
     def __contains__(self, e: Element) -> bool:
-        return e in self._members
+        members = self._members
+        if members is None:
+            members = self._members = frozenset(self.elements)
+        return e in members
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)

@@ -16,7 +16,7 @@ is one compiled action run over the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Union
 
 from .elements import (
@@ -93,7 +93,11 @@ _OBJ_CACHE: dict[tuple[FunctorExpr, FinSet], FinSet] = {}
 
 
 def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
-    """Carrier of F at X, fully materialised and canonically ordered."""
+    """Carrier of F at X, fully materialised and canonically ordered.
+
+    Each constructor lists its elements in the structural order already,
+    given X in that order, so the carrier is built without order keys.
+    """
     key = (F, X)
     cached = _OBJ_CACHE.get(key)
     if cached is not None:
@@ -105,23 +109,22 @@ def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
     elif isinstance(F, Sum):
         L = apply_obj(F.left, X)
         R = apply_obj(F.right, X)
-        out = FinSet([Inl(e) for e in L] + [Inr(e) for e in R])
+        out = FinSet._raw(tuple([Inl(e) for e in L] + [Inr(e) for e in R]))
     elif isinstance(F, Prod):
         L = apply_obj(F.left, X)
         R = apply_obj(F.right, X)
-        out = FinSet(Pair(a, b) for a in L for b in R)
+        out = FinSet._raw(tuple(Pair(a, b) for a in L for b in R))
     elif isinstance(F, Power):
-        xs = X.elements
-        members = []
-        for r in range(len(xs) + 1):
-            for combo in combinations(xs, r):
-                members.append(Subset(combo))
-        out = FinSet(members)
+        # member tuples in the lexicographic order of X, each prefix first
+        combos = [()]
+        for x in reversed(X.elements):
+            combos = [()] + [(x,) + t for t in combos] + combos[1:]
+        out = FinSet._raw(tuple(map(Subset, combos)))
     elif isinstance(F, Exp):
         rs = F.exponent.elements
-        out = FinSet(
+        out = FinSet._raw(tuple(
             FnTable(tuple(zip(rs, values))) for values in product(X.elements, repeat=len(rs))
-        )
+        ))
     elif isinstance(F, Comp):
         out = apply_obj(F.outer, apply_obj(F.inner, X))
     else:

@@ -1,7 +1,10 @@
+from itertools import combinations
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from decagon.elements import (
-    Atom, FnTable, Inl, Inr, Pair, Subset, all_functions, atoms, compose, identity, subset,
+    Atom, FinFn, FnTable, Inl, Inr, Pair, Subset, all_functions, atoms, compose, identity, subset,
 )
 from decagon.functors import (
     Comp,
@@ -17,6 +20,7 @@ from decagon.functors import (
     compose_functors,
     size_within,
 )
+from test_elements import key_is_set, reference_key
 
 SMALL = [atoms(), atoms("a"), atoms("a", "b")]
 
@@ -129,3 +133,40 @@ def test_apply_mor_matches_the_recursive_reference_action(F, data):
         expected = reference_action(F, f, e)
         assert table(e) is expected
         assert apply_elem(F, f, e) is expected
+
+
+@given(functor_exprs(3), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_carriers_come_in_the_structural_order(F, n):
+    assume(size_within(F, n, 512) <= 512)
+    elements = apply_obj(F, SMALL[n]).elements
+    assert len(set(elements)) == len(elements)
+    assert list(elements) == sorted(elements, key=reference_key)
+
+
+def test_power_lists_subsets_in_the_order_of_their_member_tuples():
+    for n in range(8):
+        labels = "abcdefg"[:n]
+        expected = sorted(c for r in range(n + 1) for c in combinations(labels, r))
+        carrier = apply_obj(Power(), atoms(*labels))
+        assert carrier.elements == tuple(Subset(map(Atom, c)) for c in expected)
+
+
+def test_carriers_are_built_without_order_keys_or_a_membership_set():
+    tag = "carrier-order"  # atom labels no other test builds
+    X = atoms(f"x-{tag}", f"y-{tag}")
+    T = Sum(Id(), Const(atoms(f"e-{tag}")))
+    carriers = [apply_obj(F, X) for F in (T, Comp(Power(), T), compose_functors(Power(), Power(), T))]
+    C = carriers[-1]
+    assert len(C) == 2 ** 8
+    # {} and {{}} mention no atom, so an earlier build may have keyed them
+    shared = {Subset(()), Subset((Subset(()),))}
+    assert [e for D in carriers for e in D if key_is_set(e) and e not in shared] == []
+    assert all(D._members is None for D in carriers)
+    assert all(e in C for e in C)
+    outsider = Subset((Subset((Inl(Atom(f"z-{tag}")),)),))
+    assert outsider not in C and Atom(f"x-{tag}") not in C
+    dom = atoms("d")
+    assert FinFn(dom, C, {Atom("d"): C.elements[-1]})(Atom("d")) is C.elements[-1]
+    with pytest.raises(ValueError, match="not in the codomain"):
+        FinFn(dom, C, {Atom("d"): outsider})

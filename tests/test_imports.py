@@ -1,10 +1,16 @@
-"""No decagon module imports an underscore-prefixed name from another
-decagon module: a name that another module needs is public."""
+"""Module boundaries the code relies on, checked on the parsed source.
+
+No decagon module imports an underscore-prefixed name from another
+decagon module: a name that another module needs is public.  And only
+``functors.apply_obj`` calls the trusted ``FinSet._raw``, which skips the
+sort: every other carrier, user input included, is sorted by ``FinSet``.
+"""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "decagon"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "decagon"
 
 
 def _private_imports():
@@ -22,3 +28,25 @@ def _private_imports():
 
 def test_no_module_imports_a_private_name_from_another():
     assert list(_private_imports()) == []
+
+
+def _trusted_finset_uses():
+    """Every ``FinSet._raw`` in the source and the tests, as (place, inside
+    ``functors.apply_obj``)."""
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path == SRC / "functors.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "apply_obj":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_raw"
+                    and isinstance(node.value, ast.Name) and node.value.id == "FinSet"):
+                yield f"{path.relative_to(ROOT)}:{node.lineno}", id(node) in allowed
+
+
+def test_only_apply_obj_skips_the_carrier_sort():
+    uses = list(_trusted_finset_uses())
+    assert any(inside for _, inside in uses)  # the check sees apply_obj's calls
+    assert [place for place, inside in uses if not inside] == []
