@@ -22,7 +22,7 @@ from .terms import (
     cells_used,
 )
 from .normalform import NormalPasting, Occurrence, flatten, normalize, occurrences_to_term
-from .signature import Signature, SignatureBuilder, PathScript, parse_signature, signature_to_text
+from .signature import Signature, PathScript, parse_signature, signature_to_text
 from .builtin import (
     builtin_signature,
     mixed_signature,
@@ -45,7 +45,7 @@ __all__ = [
     "CellGen", "CellRef", "IdCell", "Whisker", "VComp", "HComp", "Inverse",
     "PastingTerm", "boundary", "BoundaryError", "cells_used",
     "Occurrence", "NormalPasting", "flatten", "normalize", "occurrences_to_term",
-    "Signature", "SignatureBuilder", "PathScript", "parse_signature", "signature_to_text",
+    "Signature", "PathScript", "parse_signature", "signature_to_text",
     "builtin_signature", "mixed_signature", "build_omega_from_pentagons", "build_pentagons_from_omega",
     "build_kleisli_extension_cells", "build_H",
     "Interpretation", "check_axiom_degenerate", "check_cells", "evaluate_cell",

@@ -20,10 +20,11 @@ only the comonad laws and the cells of the two mixed-law axiom systems.
 Both are defined by their packaged assets, ``assets/builtin_signature.sexp``
 and ``assets/mixed_signature.sexp``, which are parsed and validated on load
 by the same ``parse_signature`` that reads a user's ``--signature`` file.
-To add an axiom, derive its two sides with ``PathScript`` over
-``b = _from_signature(builtin_signature())``, store them in
-``b.axioms[name]``, print ``signature_to_text(b.build())`` and commit it as
-the asset.
+To add an axiom, take ``sig = builtin_signature().copy()``, derive its two
+sides with ``PathScript(sig, ...)``, which registers in ``sig`` any
+interchanger the derivation slides through, set ``sig.axioms[name] = (lhs,
+rhs)``, call ``sig.validate()`` and commit ``signature_to_text(sig)`` as the
+asset.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib.resources import files
 
-from .signature import PathScript, Signature, SignatureBuilder, parse_signature
+from .signature import PathScript, Signature, parse_signature
 from .terms import PastingTerm
 
 
@@ -59,7 +60,7 @@ def mixed_signature() -> Signature:
 def build_omega_from_pentagons(sig: Signature) -> PastingTerm:
     """The decagon pasted from the two pentagons, one whiskered by T on the
     right and one by P on the left, around the associativity square."""
-    s = PathScript(_from_signature(sig), sig.cells["Omega"].src)
+    s = PathScript(sig.copy(), sig.cells["Omega"].src)
     s.apply("omega4", 2)
     s.slide(4)
     s.slide(1)
@@ -73,8 +74,8 @@ def build_omega_from_pentagons(sig: Signature) -> PastingTerm:
 def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm]:
     """Recover the two pentagons from the decagon, inserting units and
     cancelling them against the triangles; returns (omega4, omega3)."""
-    b = _from_signature(sig)
-    s = PathScript(b, sig.cells["omega4"].src)
+    work = sig.copy()
+    s = PathScript(work, sig.cells["omega4"].src)
     s.apply("unit-r-T", 2, inverse=True, left="P")
     s.slide(1)
     s.slide(0)
@@ -88,7 +89,7 @@ def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm
     s.apply("unit-r-T", 2)
     omega4 = s.done(sig.cells["omega4"].tgt)
 
-    s = PathScript(b, sig.cells["omega3"].src)
+    s = PathScript(work, sig.cells["omega3"].src)
     s.apply("unit-r-T", 2, inverse=True, left="P")
     s.slide(1)
     s.slide(0)
@@ -110,8 +111,8 @@ def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm
 def build_kleisli_extension_cells(sig: Signature) -> tuple[PastingTerm, PastingTerm, PastingTerm]:
     """The unit, counit and composition cells of the extension of T to the
     Kleisli side, pasted from omega1, omega2 and the decagon."""
-    b = _from_signature(sig)
-    s = PathScript(b, sig.cells["phi"].src)
+    work = sig.copy()
+    s = PathScript(work, sig.cells["phi"].src)
     s.apply("unit-l-P", 1, inverse=True, left="")
     s.apply("unit-l-T", 1, inverse=True, left="P")
     s.apply("omega1", 1, inverse=True)
@@ -121,13 +122,13 @@ def build_kleisli_extension_cells(sig: Signature) -> tuple[PastingTerm, PastingT
     s.slide(1)
     phi = s.done(sig.cells["phi"].tgt)
 
-    s = PathScript(b, sig.cells["theta"].src)
+    s = PathScript(work, sig.cells["theta"].src)
     s.apply("omega2", 1)
     s.slide(1)
     s.apply("unit-r-T", 0)
     theta = s.done(sig.cells["theta"].tgt)
 
-    s = PathScript(b, sig.cells["delta"].src)
+    s = PathScript(work, sig.cells["delta"].src)
     s.apply("Omega", 2)
     s.slide(1)
     s.slide(2)
@@ -137,7 +138,7 @@ def build_kleisli_extension_cells(sig: Signature) -> tuple[PastingTerm, PastingT
 
 def build_H(sig: Signature) -> PastingTerm:
     """The op-homomorphism square pasted from Psi and the psi2 inverses."""
-    s = PathScript(_from_signature(sig), sig.cells["H"].src)
+    s = PathScript(sig.copy(), sig.cells["H"].src)
     s.apply("unit-r-P", 1, inverse=True, left="T")
     s.apply("psi2", 0, inverse=True, left="TP")
     s.apply("Psi", 1)
@@ -146,13 +147,3 @@ def build_H(sig: Signature) -> PastingTerm:
     s.apply("unit-r-P", 2)
     return s.done(sig.cells["H"].tgt)
 
-
-def _from_signature(sig: Signature) -> SignatureBuilder:
-    """A builder seeded with the signature's generators and axioms, so
-    scripts can register any interchanger they need and ``build()`` gives
-    the signature back with them."""
-    b = SignatureBuilder("".join(sig.alphabet))
-    b.arrows = dict(sig.arrows)
-    b.cells = dict(sig.cells)
-    b.axioms = dict(sig.axioms)
-    return b

@@ -1,4 +1,4 @@
-"""Signatures, the textual term format, and the path rewrite script builder.
+"""Signatures, the textual term format, and the path rewrite script.
 
 The textual grammar: words are juxtaposed symbols ``T P T`` (``epsilon``
 when empty); atoms are ``[T . lambda . epsilon]`` (prefix, generator,
@@ -9,6 +9,7 @@ at a word; pasting terms are s-expressions such as
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .normalform import Occurrence, apply_occurrence, occurrences_to_term
@@ -51,59 +52,25 @@ class Signature:
                     f"axiom {name} is not parallel:\n  lhs {bl[0]} => {bl[1]}\n  rhs {br[0]} => {br[1]}"
                 )
 
-
-class SignatureBuilder:
-    """Accumulates generators and axioms; interchanger cells self-register."""
-
-    def __init__(self, alphabet: str):
-        self.alphabet = tuple(alphabet.replace(" ", ""))
-        self.arrows: dict[str, ArrowGen] = {}
-        self.cells: dict[str, CellGen] = {}
-        self.axioms: dict[str, tuple[PastingTerm, PastingTerm]] = {}
-
-    def atom(self, prefix: str, gen_name: str, suffix: str) -> ArrowAtom:
-        return ArrowAtom(Word.of(prefix), self.arrows[gen_name], Word.of(suffix))
-
-    def path(self, atoms: list[ArrowAtom], start: str | None = None) -> Path:
-        if not atoms:
-            return Path(Word.of(start or ""))
-        return Path(atoms[0].src, tuple(atoms))
-
-    def cell(self, name: str, src: Path, tgt: Path, invertible: bool = True) -> CellGen:
-        gen = CellGen(name, src, tgt, invertible)
-        self.cells[name] = gen
-        return gen
+    def copy(self) -> "Signature":
+        """The same signature with tables of its own, for a derivation to extend."""
+        return Signature(self.alphabet, dict(self.arrows), dict(self.cells), dict(self.axioms))
 
     def interchanger(self, left: ArrowGen, middle: Word, right: ArrowGen) -> CellGen:
         """The square that slides two generators past each other across a
-        middle word; in strict instances it holds by naturality."""
+        middle word, registered on first use; in strict instances it holds
+        by naturality."""
         mid = "".join(middle.symbols) or "e"
         name = f"xc-{left.name}-{mid}-{right.name}"
-        src = Path(
-            left.src + middle + right.src,
-            (
-                ArrowAtom(Word(()), left, middle + right.src),
-                ArrowAtom(left.tgt + middle, right, Word(())),
-            ),
-        )
-        tgt = Path(
-            left.src + middle + right.src,
-            (
-                ArrowAtom(left.src + middle, right, Word(())),
-                ArrowAtom(Word(()), left, middle + right.tgt),
-            ),
-        )
-        existing = self.cells.get(name)
-        if existing is not None:
-            if existing.src != src or existing.tgt != tgt:
-                raise BoundaryError(f"interchanger {name} redeclared with different boundary")
-            return existing
-        return self.cell(name, src, tgt)
-
-    def build(self) -> Signature:
-        sig = Signature(self.alphabet, dict(self.arrows), dict(self.cells), dict(self.axioms))
-        sig.validate()
-        return sig
+        start = left.src + middle + right.src
+        src = Path(start, (ArrowAtom(Word(()), left, middle + right.src),
+                           ArrowAtom(left.tgt + middle, right, Word(()))))
+        tgt = Path(start, (ArrowAtom(left.src + middle, right, Word(())),
+                           ArrowAtom(Word(()), left, middle + right.tgt)))
+        cell = self.cells.setdefault(name, CellGen(name, src, tgt))
+        if (cell.src, cell.tgt) != (src, tgt):
+            raise BoundaryError(f"interchanger {name} redeclared with different boundary")
+        return cell
 
 
 class PathScript:
@@ -112,41 +79,42 @@ class PathScript:
     ``apply`` matches a declared cell at an atom index (the whisker words
     are inferred from the matched atoms, or given explicitly for cells with
     an empty side); ``slide`` interchanges two adjacent atoms acting on
-    disjoint word intervals, registering the interchanger cell it needs.
+    disjoint word intervals, registering the interchanger cell it needs in
+    ``sig``.
     """
 
-    def __init__(self, builder: SignatureBuilder, source: Path):
-        self.builder = builder
+    def __init__(self, sig: Signature, source: Path):
+        self.sig = sig
         self.source = source
         self.path = source
         self.occs: list[Occurrence] = []
 
-    def _sig_view(self):
-        return Signature(self.builder.alphabet, self.builder.arrows, self.builder.cells, {})
+    def _atom(self, i: int) -> ArrowAtom:
+        if not 0 <= i < len(self.path):
+            raise BoundaryError(f"no atom {i} in {self.path}")
+        return self.path.atoms[i]
 
     def apply(self, name: str, at: int, inverse: bool = False, left: str | None = None) -> "PathScript":
-        cell = self.builder.cells[name]
+        cell = self.sig.cells[name]
         matched = cell.tgt if inverse else cell.src
         if left is not None:
             lw = Word.of(left)
         elif len(matched):
             first_inner = matched.atoms[0]
-            first_actual = self.path.atoms[at]
-            if first_actual.gen != first_inner.gen:
-                raise BoundaryError(
-                    f"apply {name} at {at}: generator {first_actual.gen.name} != {first_inner.gen.name}"
-                )
+            first_actual = self._atom(at)
+            if first_actual.gen != first_inner.gen or not first_actual.prefix.endswith(first_inner.prefix):
+                raise BoundaryError(f"apply {name} at {at}: {first_actual} does not match {first_inner}")
             lw = first_actual.prefix.drop_suffix(first_inner.prefix)
         else:
             raise BoundaryError(f"apply {name}: empty matched side needs an explicit left word")
         occ = Occurrence(at, lw, name, inverse)
-        self.path, _ = apply_occurrence(self._sig_view(), self.path, occ)
+        self.path, _ = apply_occurrence(self.sig, self.path, occ)
         self.occs.append(occ)
         return self
 
     def slide(self, i: int) -> "PathScript":
-        a = self.path.atoms[i]
-        b = self.path.atoms[i + 1]
+        a = self._atom(i)
+        b = self._atom(i + 1)
         pa, sa, ta = len(a.prefix), len(a.gen.src), len(a.gen.tgt)
         pb, sb = len(b.prefix), len(b.gen.src)
         word = a.src
@@ -154,23 +122,23 @@ class PathScript:
             # b acts right of a: a is the left generator
             rb = pb - ta + sa
             middle = Word(word.symbols[pa + sa: rb])
-            cell = self.builder.interchanger(a.gen, middle, b.gen)
+            cell = self.sig.interchanger(a.gen, middle, b.gen)
             occ = Occurrence(i, a.prefix, cell.name, False)
         elif pb + sb <= pa:
             # b acts left of a: b is the left generator
             middle = Word(word.symbols[pb + sb: pa])
-            cell = self.builder.interchanger(b.gen, middle, a.gen)
+            cell = self.sig.interchanger(b.gen, middle, a.gen)
             occ = Occurrence(i, Word(word.symbols[:pb]), cell.name, True)
         else:
             raise BoundaryError(f"atoms {a} and {b} overlap; cannot slide")
-        self.path, _ = apply_occurrence(self._sig_view(), self.path, occ)
+        self.path, _ = apply_occurrence(self.sig, self.path, occ)
         self.occs.append(occ)
         return self
 
     def done(self, expect: Path | None = None) -> PastingTerm:
         if expect is not None and self.path != expect:
             raise BoundaryError(f"script ended at\n  {self.path}\nexpected\n  {expect}")
-        return occurrences_to_term(self._sig_view(), self.source, self.occs)
+        return occurrences_to_term(self.sig, self.source, self.occs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,169 +190,110 @@ def signature_to_text(sig: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    cur = []
-    for ch in text:
-        if ch in "()[];.@":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
+_TOKEN = re.compile(r"[()\[\];.@]|[^\s()\[\];.@]+")
+_PUNCTUATION = frozenset("()[];.@")
+
+
+def _read(text: str) -> list:
+    """The forms of ``text``: each parenthesised group becomes the list of
+    its tokens and groups; brackets, dots, ``;`` and ``@`` stay tokens."""
+    stack: list[list] = [[]]
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ValueError("unmatched ')'")
+            group = stack.pop()
+            stack[-1].append(group)
         else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ValueError("unexpected end of signature")
+    return stack[0]
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.pos = 0
+def _word(tokens: list) -> Word:
+    for tok in tokens:
+        if not isinstance(tok, str) or tok in _PUNCTUATION:
+            raise ValueError(f"not a word symbol: {tok!r}")
+    return Word(tuple(tok for tok in tokens if tok != "epsilon"))
 
-    def peek(self) -> str:
-        if self.pos >= len(self.toks):
-            raise ValueError("unexpected end of signature")
-        return self.toks[self.pos]
 
-    def next(self) -> str:
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _atom(tokens: list, arrows: dict[str, ArrowGen]) -> ArrowAtom:
+    """``[ prefix . name . suffix ]``: the token between the dots is the
+    arrow, so an arrow may be named ``epsilon``."""
+    if tokens[:1] == ["["] and tokens[-1:] == ["]"] and "." in tokens:
+        i = tokens.index(".")
+        match tokens[i: i + 3]:
+            case [".", str(name), "."] if name in arrows:
+                return ArrowAtom(_word(tokens[1:i]), arrows[name], _word(tokens[i + 3: -1]))
+            case [".", str(name), "."]:
+                raise ValueError(f"unknown arrow {name!r}")
+    raise ValueError(f"malformed atom {' '.join(map(str, tokens))!r}")
 
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r} at {self.pos}")
 
-    def word_until(self, stops: set[str]) -> Word:
-        syms = []
-        while self.peek() not in stops:
-            tok = self.next()
-            if tok != "epsilon":
-                syms.append(tok)
-        return Word(tuple(syms))
+def _path(tokens: list, arrows: dict[str, ArrowGen]) -> Path:
+    if tokens[:1] == ["@"]:
+        return Path(_word(tokens[1:]))
+    atoms, start = [], 0
+    for i, tok in enumerate(tokens + [";"]):
+        if tok == ";":
+            atoms.append(_atom(tokens[start:i], arrows))
+            start = i + 1
+    return Path(atoms[0].src, tuple(atoms))
 
-    def atom(self, arrows: dict[str, ArrowGen]) -> ArrowAtom:
-        self.expect("[")
-        prefix = self.word_until({"."})
-        self.expect(".")
-        name = self.next()
-        if name not in arrows:
-            raise ValueError(f"unknown arrow {name!r} at {self.pos}")
-        self.expect(".")
-        suffix = self.word_until({"]"})
-        self.expect("]")
-        return ArrowAtom(prefix, arrows[name], suffix)
 
-    def path(self, arrows: dict[str, ArrowGen], stops: set[str]) -> Path:
-        if self.peek() == "@":
-            self.next()
-            return Path(self.word_until(stops))
-        atoms = [self.atom(arrows)]
-        while self.peek() == ";":
-            self.next()
-            atoms.append(self.atom(arrows))
-        return Path(atoms[0].src, tuple(atoms))
-
-    def term(self, arrows: dict[str, ArrowGen]) -> PastingTerm:
-        self.expect("(")
-        head = self.next()
-        if head == "cell":
-            name = self.next()
-            self.expect(")")
+def _term(form, arrows: dict[str, ArrowGen]) -> PastingTerm:
+    match form:
+        case ["cell", str(name)]:
             return CellRef(name)
-        if head == "inv":
-            inner = self.term(arrows)
-            self.expect(")")
-            if not isinstance(inner, CellRef):
-                raise ValueError("inv applies to cell references only")
-            return Inverse(inner)
-        if head == "id":
-            p = self.path(arrows, {")"})
-            self.expect(")")
-            return IdCell(p)
-        if head == "whisker":
-            left = self.word_until({"("})
-            inner = self.term(arrows)
-            right = self.word_until({")"})
-            self.expect(")")
-            return Whisker(left, inner, right)
-        if head == "vcomp":
-            terms = []
-            while self.peek() == "(":
-                terms.append(self.term(arrows))
-            self.expect(")")
-            if not terms:
-                raise ValueError("vcomp needs at least one term")
-            out = terms[0]
-            for t in terms[1:]:
-                out = VComp(out, t)
+        case ["inv", ["cell", str(name)]]:
+            return Inverse(CellRef(name))
+        case ["id", *path]:
+            return IdCell(_path(path, arrows))
+        case ["whisker", *parts] if any(isinstance(p, list) for p in parts):
+            i = next(i for i, p in enumerate(parts) if isinstance(p, list))
+            return Whisker(_word(parts[:i]), _term(parts[i], arrows), _word(parts[i + 1:]))
+        case ["vcomp", first, *rest]:
+            out = _term(first, arrows)
+            for t in rest:
+                out = VComp(out, _term(t, arrows))
             return out
-        if head == "hcomp":
-            first = self.term(arrows)
-            second = self.term(arrows)
-            self.expect(")")
-            return HComp(first, second)
-        raise ValueError(f"unknown term head {head!r}")
+        case ["hcomp", first, second]:
+            return HComp(_term(first, arrows), _term(second, arrows))
+    raise ValueError(f"malformed term {form!r}")
+
+
+def _declare(table: dict, kind: str, name: str, value) -> None:
+    if name in table:
+        raise ValueError(f"{kind} {name!r} declared twice")
+    table[name] = value
 
 
 def parse_signature(text: str) -> Signature:
-    p = _Parser(_tokenize(text))
-    p.expect("(")
-    p.expect("signature")
-    alphabet: tuple[str, ...] = ()
-    arrows: dict[str, ArrowGen] = {}
-    cells: dict[str, CellGen] = {}
-    axioms: dict[str, tuple[PastingTerm, PastingTerm]] = {}
-    while p.peek() == "(":
-        p.next()
-        head = p.next()
-        if head == "version":
-            p.next()
-            p.expect(")")
-        elif head == "alphabet":
-            syms = []
-            while p.peek() != ")":
-                syms.append(p.next())
-            alphabet = tuple(syms)
-            p.expect(")")
-        elif head == "arrow":
-            name = p.next()
-            p.expect("(")
-            src = p.word_until({")"})
-            p.expect(")")
-            p.expect("(")
-            tgt = p.word_until({")"})
-            p.expect(")")
-            p.expect(")")
-            arrows[name] = ArrowGen(name, src, tgt)
-        elif head == "cell":
-            name = p.next()
-            p.expect("(")
-            p.expect("src")
-            src = p.path(arrows, {")"})
-            p.expect(")")
-            p.expect("(")
-            p.expect("tgt")
-            tgt = p.path(arrows, {")"})
-            p.expect(")")
-            p.expect(")")
-            cells[name] = CellGen(name, src, tgt)
-        elif head == "axiom":
-            name = p.next()
-            lhs = p.term(arrows)
-            rhs = p.term(arrows)
-            p.expect(")")
-            axioms[name] = (lhs, rhs)
-        else:
-            raise ValueError(f"unknown section {head!r}")
-    p.expect(")")
-    sig = Signature(alphabet, arrows, cells, axioms)
+    match _read(text):
+        case [["signature", *sections]]:
+            pass
+        case _:
+            raise ValueError("a signature is one (signature ...) form")
+    sig = Signature((), {}, {})
+    for section in sections:
+        match section:
+            case ["version", "1"]:
+                pass
+            case ["version", version]:
+                raise ValueError(f"unsupported signature version {version!r}")
+            case ["alphabet", *symbols]:
+                sig.alphabet = _word(symbols).symbols
+            case ["arrow", str(name), list(src), list(tgt)]:
+                _declare(sig.arrows, "arrow", name, ArrowGen(name, _word(src), _word(tgt)))
+            case ["cell", str(name), ["src", *src], ["tgt", *tgt]]:
+                cell = CellGen(name, _path(src, sig.arrows), _path(tgt, sig.arrows))
+                _declare(sig.cells, "cell", name, cell)
+            case ["axiom", str(name), lhs, rhs]:
+                _declare(sig.axioms, "axiom", name, (_term(lhs, sig.arrows), _term(rhs, sig.arrows)))
+            case _:
+                raise ValueError(f"malformed section {section!r}")
     sig.validate()
     return sig

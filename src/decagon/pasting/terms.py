@@ -2,7 +2,8 @@
 
 Grammar: CellRef(name) | IdCell(path) | Whisker(left, t, right)
 | VComp(upper, lower) | HComp(t1, t2) | Inverse(CellRef(name)).
-Inversion is restricted to references of invertible generators.
+Every cell generator is invertible; inversion applies to generator
+references only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ class CellGen:
     name: str
     src: Path
     tgt: Path
-    invertible: bool = True
 
     def __post_init__(self):
         if self.src.start != self.tgt.start or self.src.end != self.tgt.end:
@@ -82,8 +82,6 @@ def boundary(t: PastingTerm, sig) -> tuple[Path, Path]:
         cell = sig.cells.get(t.term.name)
         if cell is None:
             raise BoundaryError(f"unknown cell {t.term.name!r}")
-        if not cell.invertible:
-            raise BoundaryError(f"cell {cell.name} is not invertible")
         return cell.tgt, cell.src
     if isinstance(t, IdCell):
         return t.path, t.path

@@ -171,10 +171,6 @@ def composite_map(
     return out
 
 
-def identity_map(F: FunctorExpr, X: FinSet, cap: int) -> dict[Element, Element]:
-    return {e: e for e in source_carrier(F, X, cap).elements}
-
-
 def square_failure(
     src_f: FinFn, tgt_f: FinFn, at_dom: FinFn, at_cod: FinFn
 ) -> Optional[Element]:

@@ -11,6 +11,8 @@ from decagon.elements import Atom, Subset, element_repr, subset
 from decagon.report import compare
 
 PY = [sys.executable, "-m", "decagon.cli"]
+ASSETS = pathlib.Path(cli.__file__).resolve().parent / "pasting" / "assets"
+MIXED = (ASSETS / "mixed_signature.sexp").read_text()
 
 
 def invoke(args):
@@ -232,7 +234,14 @@ def test_json_goes_to_stdout_summary_to_stderr():
     "  (cell c (src [epsilon . nope . epsilon]) (tgt [epsilon . m . epsilon])))\n",
     # a file cut off after its alphabet
     "(signature (version 1) (alphabet T)",
-], ids=["unknown-arrow", "truncated"])
+    # content after the closing parenthesis
+    MIXED + "(cell junk\n",
+    # a version the writer never writes
+    MIXED.replace("(version 1)", "(version 2)"),
+    # a second declaration of a cell name
+    MIXED.rstrip().removesuffix(")")
+    + "  (cell counit-l-L\n    (src @ L)\n    (tgt @ L)))\n",
+], ids=["unknown-arrow", "truncated", "trailing-content", "version", "duplicate-cell"])
 def test_malformed_signature_exit_two(tmp_path, capsys, text):
     path = tmp_path / "bad.sexp"
     path.write_text(text)
@@ -269,6 +278,36 @@ def test_user_signature_quantifies_generic_arrows_over_declared_boundary(tmp_pat
     assert code == 0
     assert [(v["axiom"], v["passed"], v["checked"], v["skipped"]) for v in payload["verdicts"]] \
         == [("cell:u-natural", True, 5, 0)]
+
+
+@pytest.mark.parametrize("axiom", ["all", "H"])
+def test_pasting_derive_without_the_cell_is_a_configuration_error(tmp_path, capsys, axiom):
+    path = tmp_path / "naturality.sexp"
+    path.write_text(_NATURALITY_SIGNATURE)
+    code = run(["pasting-derive", "--axiom", axiom, "--signature", str(path)])
+    err = capsys.readouterr().err
+    cell = "Omega" if axiom == "all" else axiom
+    assert code == 2
+    assert err == f"error: cannot derive {cell}: no cell {cell!r}\n"
+
+
+def test_pasting_derive_on_a_cell_the_script_does_not_fit_is_a_configuration_error(
+        tmp_path, capsys):
+    # Psi with its source and target swapped is still a valid cell, but the
+    # script of H cannot apply it where it expects to
+    from decagon.pasting import CellGen, builtin_signature, signature_to_text
+
+    sig = builtin_signature().copy()
+    sig.axioms.clear()
+    psi = sig.cells["Psi"]
+    sig.cells["Psi"] = CellGen("Psi", psi.tgt, psi.src)
+    path = tmp_path / "swapped.sexp"
+    path.write_text(signature_to_text(sig))
+    code = run(["pasting-derive", "--axiom", "H", "--signature", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot derive H: ") and "Psi" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def _readme_cli_commands() -> list[list[str]]:

@@ -1,12 +1,15 @@
 """Module boundaries the code relies on, checked on the parsed source.
 
 No decagon module imports an underscore-prefixed name from another
-decagon module: a name that another module needs is public.  And only
+decagon module: a name that another module needs is public.  Only
 ``functors.apply_obj`` calls the trusted ``FinSet._raw``, which skips the
 sort: every other carrier, user input included, is sorted by ``FinSet``.
+And every top-level function and class is referenced somewhere in the
+package outside its own definition, or wrapped by the benchmark's tracer.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,3 +53,38 @@ def test_only_apply_obj_skips_the_carrier_sort():
     uses = list(_trusted_finset_uses())
     assert any(inside for _, inside in uses)  # the check sees apply_obj's calls
     assert [place for place, inside in uses if not inside] == []
+
+
+def _traced_functions() -> set[str]:
+    """The function names the benchmark's tracer wraps by name."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {fname for _, _, fname in module.SPANS + module.COUNTERS}
+
+
+def _unreferenced_definitions():
+    """Top-level functions and classes whose name occurs nowhere in the
+    package (as a name, an attribute or an imported name, exports in an
+    ``__init__.py`` included) outside their own definition."""
+    defs, refs = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs += [(path, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name is not None:
+                refs.append((name, path, id(node)))
+    for path, node in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if not any(name == node.name and not (where == path and at in own)
+                   for name, where, at in refs):
+            yield f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+
+
+def test_every_definition_has_a_reference():
+    traced = _traced_functions()
+    assert [d for d in _unreferenced_definitions() if d.rsplit(" ", 1)[1] not in traced] == []

@@ -56,22 +56,24 @@ def test_generator_normalizes_to_single_occurrence():
 def test_constructed_swap_pair_normalizes_equal():
     # a pentagon on the front atoms and a triangle on the back atoms act on
     # disjoint ranges, so the two application orders are the same pasting
-    from decagon.pasting.builtin import _from_signature
+    from decagon.pasting import ArrowAtom, Path, Word
     from decagon.pasting.signature import PathScript
 
-    b = _from_signature(SIG)
-    A, P = b.atom, b.path
-    start = P([A("", "m", "PT"), A("", "lambda", "T"),
-               A("PTT", "eta", ""), A("PT", "lambda", "")])
-    s1 = PathScript(b, start)
+    sig = SIG.copy()
+
+    def A(prefix, name, suffix):
+        return ArrowAtom(Word.of(prefix), sig.arrows[name], Word.of(suffix))
+
+    atoms = (A("", "m", "PT"), A("", "lambda", "T"), A("PTT", "eta", ""), A("PT", "lambda", ""))
+    start = Path(atoms[0].src, atoms)
+    s1 = PathScript(sig, start)
     s1.apply("omega3", 0)
     s1.apply("omega2", 3)
     t1 = s1.done()
-    s2 = PathScript(b, start)
+    s2 = PathScript(sig, start)
     s2.apply("omega2", 2)
     s2.apply("omega3", 0)
     t2 = s2.done()
-    sig = b.build()
     assert boundary(t1, sig) == boundary(t2, sig)
     assert normalize(t1, sig) == normalize(t2, sig)
 

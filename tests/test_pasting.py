@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from decagon.pasting import (
     IdCell,
     Inverse,
     Path,
+    Signature,
     VComp,
     Whisker,
     Word,
@@ -121,6 +123,35 @@ def test_textual_round_trip(build):
     assert sig2.axioms == sig.axioms
 
 
+# Tokens a mutation inserts: the format's punctuation and some of its words.
+_INSERTED = ["(", ")", "[", "]", ";", ".", "@", "epsilon", "vcomp", "cell", "inv", "T"]
+
+
+@pytest.mark.parametrize("load,count", [(builtin_signature, 120), (mixed_signature, 1200)],
+                         ids=["builtin_signature", "mixed_signature"])
+def test_mutated_assets_parse_or_raise_value_error(load, count):
+    # a truncation, a deleted span or an inserted token either leaves a
+    # valid signature or is rejected with ValueError, which the CLI turns
+    # into exit 2; any other exception would be an internal error
+    import importlib.resources as res
+
+    text = (res.files("decagon.pasting") / "assets" / f"{load.__name__}.sexp").read_text()
+    rng = random.Random(20210225)
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            mutated = text[:i]
+        elif kind == 1:
+            mutated = text[:i] + text[i + rng.randrange(1, 40):]
+        else:
+            mutated = text[:i] + rng.choice(_INSERTED) + text[i:]
+        try:
+            assert isinstance(parse_signature(mutated), Signature)
+        except ValueError:
+            pass
+
+
 # The cells each axiom pastes; check_axiom_degenerate evaluates exactly these.
 AXIOM_CELLS = {
     "W1": ["omega1", "omega3", "unit-r-T", "xc-lambda-e-u"],
@@ -153,14 +184,17 @@ def test_axioms_paste_the_recorded_cells():
 
 @pytest.mark.parametrize("load", SHIPPED, ids=lambda f: f.__name__)
 def test_rebuilt_signature_prints_the_shipped_asset(load):
-    # the workflow for adding an axiom starts from _from_signature and
-    # prints build(); with nothing added it gives the asset back verbatim
+    # the workflow for adding an axiom starts from a copy of the shipped
+    # signature and prints it; with nothing added it gives the asset back
+    # verbatim, and the shipped signature is left as it was
     import importlib.resources as res
 
-    from decagon.pasting.builtin import _from_signature
-
     asset = res.files("decagon.pasting") / "assets" / f"{load.__name__}.sexp"
-    assert signature_to_text(_from_signature(load()).build()) == asset.read_text()
+    sig = load().copy()
+    sig.validate()
+    assert signature_to_text(sig) == asset.read_text()
+    sig.cells.clear()
+    assert load().cells
 
 
 def test_package_data_ships_the_signature_assets():
@@ -429,7 +463,7 @@ def _per_instance_verdict(cell, interp, universe):
     from decagon.functors import apply_obj
     from decagon.report import compare, quantify
     from decagon.transforms import (ComponentUnavailable, OversizeCarrier, composite_map,
-                                    identity_map)
+                                    source_carrier)
 
     atoms = cell.src.atoms + cell.tgt.atoms
     words = [cell.src.start] + [a.src for a in atoms] + [a.tgt for a in atoms]
@@ -442,7 +476,8 @@ def _per_instance_verdict(cell, interp, universe):
         steps = interp.path_steps(path, objects, chosen)
         if steps:
             return composite_map(steps, X, cap)
-        return identity_map(interp.word_functor(path.start, objects), X, cap)
+        F = interp.word_functor(path.start, objects)
+        return {e: e for e in source_carrier(F, X, cap).elements}
 
     def instances():
         for X in universe.objects[:1] if obj_names else universe.objects:
