@@ -396,11 +396,13 @@ def _run_pasting_derive(args, monads, laws) -> tuple[int, dict, list[str]]:
         if args.axiom not in (target, "all"):
             continue
         # a user's signature may lack a cell the script pastes, or declare
-        # one whose boundary the script's steps do not fit
+        # one whose boundary the script's steps do not fit; the terms are
+        # checked against the copy the builder extended with its interchangers
+        work = sig.copy()
         try:
-            terms = build(sig)
+            terms = build(work)
             for cell, term in zip(cells, terms if len(cells) > 1 else [terms]):
-                good = boundary(term, sig) == (sig.cells[cell].src, sig.cells[cell].tgt)
+                good = boundary(term, work) == (work.cells[cell].src, work.cells[cell].tgt)
                 results[cell] = {"boundary_matches": good, "term": term_to_text(term)}
         except KeyError as exc:
             raise ConfigError(f"cannot derive {target}: no cell {exc.args[0]!r}") from exc

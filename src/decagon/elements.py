@@ -18,10 +18,18 @@ slot, because most elements are intermediates that are never sorted or
 printed.  Invariant: the table is never cleared, because identity equality
 and the intern order hold only while it outlives every element.
 
+Invariant: elements form no reference cycles.  Each constructor's
+children exist before it, its slots are set once, on creation, and never
+reassigned, and ``_key`` holds only order keys, tuples of tags, labels and
+keys.  So the cyclic garbage collector can free nothing here, and
+``report.compare`` pauses it while a verdict builds and drops elements.
+
 Carriers need no order keys: ``functors.apply_obj`` builds each one in the
 structural order, so keys serve only the printers, ``fn_table`` and a
 ``FinSet`` of user input, which is sorted.  A carrier's membership set is
-built on its first ``in``.
+built on its first ``in``.  A powerset carrier's member tuples come out of
+``apply_obj`` in intern order already, and ``Subset._raw`` interns them
+without the set and the sort.
 """
 
 from __future__ import annotations
@@ -136,6 +144,18 @@ class Subset(Element):
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
             e._members = ms
+        return e
+
+    @classmethod
+    def _raw(cls, members: tuple) -> "Subset":
+        """Internal constructor for a member tuple already distinct and in
+        intern order; skips the set and the sort.  Only ``apply_obj``
+        calls it."""
+        ident = (4, members)
+        e = _KEY_CACHE.get(ident)
+        if e is None:
+            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e._members = members
         return e
 
     @property

@@ -115,11 +115,19 @@ def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
         R = apply_obj(F.right, X)
         out = FinSet._raw(tuple(Pair(a, b) for a in L for b in R))
     elif isinstance(F, Power):
-        # member tuples in the lexicographic order of X, each prefix first
-        combos = [()]
+        # tuples[mask]: the members whose bits are set in mask, over X in
+        # intern order (by id), lowest bit first, so already in intern order
+        by_id = sorted(X.elements, key=id)
+        tuples = [()]
+        for x in by_id:
+            tuples += [t + (x,) for t in tuples]
+        bit = {x: 1 << i for i, x in enumerate(by_id)}
+        # masks in the lexicographic order of X, each prefix first
+        masks = [0]
         for x in reversed(X.elements):
-            combos = [()] + [(x,) + t for t in combos] + combos[1:]
-        out = FinSet._raw(tuple(map(Subset, combos)))
+            b = bit[x]
+            masks = [0] + [b | m for m in masks] + masks[1:]
+        out = FinSet._raw(tuple([Subset._raw(tuples[m]) for m in masks]))
     elif isinstance(F, Exp):
         rs = F.exponent.elements
         out = FinSet._raw(tuple(
@@ -214,7 +222,12 @@ def size_within(F: FunctorExpr, n: int, cap: int) -> int:
 
     All grammar constructors are monotone in the carrier size, so
     propagating the saturation value stays sound: the result is exact
-    whenever it is at most cap.
+    whenever it is at most cap.  It is also cap + 1 when a carrier that
+    ``apply_obj`` builds on the way, a factor of a product or the inner
+    carrier of a composite, exceeds cap although F(X) does not (a
+    constant outer functor or an empty factor collapses it), so a guard
+    on the result bounds the whole build.  ``Id`` and ``Const`` build
+    nothing: their carriers are given.
     """
     clamp = cap + 1
     n = min(n, clamp)
@@ -225,7 +238,10 @@ def size_within(F: FunctorExpr, n: int, cap: int) -> int:
     if isinstance(F, Sum):
         return min(size_within(F.left, n, cap) + size_within(F.right, n, cap), clamp)
     if isinstance(F, Prod):
-        return min(size_within(F.left, n, cap) * size_within(F.right, n, cap), clamp)
+        left, right = size_within(F.left, n, cap), size_within(F.right, n, cap)
+        if max(_built(F.left, left), _built(F.right, right)) > cap:
+            return clamp
+        return min(left * right, clamp)
     if isinstance(F, Power):
         if n > clamp.bit_length():
             return clamp
@@ -238,8 +254,16 @@ def size_within(F: FunctorExpr, n: int, cap: int) -> int:
                 break
         return out
     if isinstance(F, Comp):
-        return size_within(F.outer, size_within(F.inner, n, cap), cap)
+        inner = size_within(F.inner, n, cap)
+        if _built(F.inner, inner) > cap:
+            return clamp
+        return size_within(F.outer, inner, cap)
     raise TypeError(f"not a FunctorExpr: {F!r}")
+
+
+def _built(F: FunctorExpr, size: int) -> int:
+    """``size`` if ``apply_obj`` builds F's carrier, 0 if it is given."""
+    return 0 if isinstance(F, (Id, Const)) else size
 
 
 def compose_functors(*fs: FunctorExpr) -> FunctorExpr:

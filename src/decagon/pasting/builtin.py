@@ -55,12 +55,16 @@ def mixed_signature() -> Signature:
 
 # ---------------------------------------------------------------------------
 # construction builders
+#
+# Each builder pastes in ``sig`` and registers there every interchanger its
+# script slides through, so the terms it returns are checked against ``sig``
+# afterwards; pass ``sig.copy()`` to keep a signature as it is.
 
 
 def build_omega_from_pentagons(sig: Signature) -> PastingTerm:
     """The decagon pasted from the two pentagons, one whiskered by T on the
     right and one by P on the left, around the associativity square."""
-    s = PathScript(sig.copy(), sig.cells["Omega"].src)
+    s = PathScript(sig, sig.cells["Omega"].src)
     s.apply("omega4", 2)
     s.slide(4)
     s.slide(1)
@@ -74,8 +78,7 @@ def build_omega_from_pentagons(sig: Signature) -> PastingTerm:
 def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm]:
     """Recover the two pentagons from the decagon, inserting units and
     cancelling them against the triangles; returns (omega4, omega3)."""
-    work = sig.copy()
-    s = PathScript(work, sig.cells["omega4"].src)
+    s = PathScript(sig, sig.cells["omega4"].src)
     s.apply("unit-r-T", 2, inverse=True, left="P")
     s.slide(1)
     s.slide(0)
@@ -89,7 +92,7 @@ def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm
     s.apply("unit-r-T", 2)
     omega4 = s.done(sig.cells["omega4"].tgt)
 
-    s = PathScript(work, sig.cells["omega3"].src)
+    s = PathScript(sig, sig.cells["omega3"].src)
     s.apply("unit-r-T", 2, inverse=True, left="P")
     s.slide(1)
     s.slide(0)
@@ -111,8 +114,7 @@ def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm
 def build_kleisli_extension_cells(sig: Signature) -> tuple[PastingTerm, PastingTerm, PastingTerm]:
     """The unit, counit and composition cells of the extension of T to the
     Kleisli side, pasted from omega1, omega2 and the decagon."""
-    work = sig.copy()
-    s = PathScript(work, sig.cells["phi"].src)
+    s = PathScript(sig, sig.cells["phi"].src)
     s.apply("unit-l-P", 1, inverse=True, left="")
     s.apply("unit-l-T", 1, inverse=True, left="P")
     s.apply("omega1", 1, inverse=True)
@@ -122,13 +124,13 @@ def build_kleisli_extension_cells(sig: Signature) -> tuple[PastingTerm, PastingT
     s.slide(1)
     phi = s.done(sig.cells["phi"].tgt)
 
-    s = PathScript(work, sig.cells["theta"].src)
+    s = PathScript(sig, sig.cells["theta"].src)
     s.apply("omega2", 1)
     s.slide(1)
     s.apply("unit-r-T", 0)
     theta = s.done(sig.cells["theta"].tgt)
 
-    s = PathScript(work, sig.cells["delta"].src)
+    s = PathScript(sig, sig.cells["delta"].src)
     s.apply("Omega", 2)
     s.slide(1)
     s.slide(2)
@@ -138,7 +140,7 @@ def build_kleisli_extension_cells(sig: Signature) -> tuple[PastingTerm, PastingT
 
 def build_H(sig: Signature) -> PastingTerm:
     """The op-homomorphism square pasted from Psi and the psi2 inverses."""
-    s = PathScript(sig.copy(), sig.cells["H"].src)
+    s = PathScript(sig, sig.cells["H"].src)
     s.apply("unit-r-P", 1, inverse=True, left="T")
     s.apply("psi2", 0, inverse=True, left="TP")
     s.apply("Psi", 1)

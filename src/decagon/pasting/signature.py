@@ -192,6 +192,11 @@ def signature_to_text(sig: Signature) -> str:
 
 _TOKEN = re.compile(r"[()\[\];.@]|[^\s()\[\];.@]+")
 _PUNCTUATION = frozenset("()[];.@")
+# Deepest parenthesis nesting a signature may have.  Terms are read, checked
+# and evaluated by recursion, one frame per level, so a deeper file is
+# refused here rather than overflowing the interpreter's stack later; the
+# shipped assets nest 18 deep.
+MAX_NESTING = 500
 
 
 def _read(text: str) -> list:
@@ -200,6 +205,8 @@ def _read(text: str) -> list:
     stack: list[list] = [[]]
     for tok in _TOKEN.findall(text):
         if tok == "(":
+            if len(stack) > MAX_NESTING:
+                raise ValueError(f"forms nest deeper than {MAX_NESTING} levels")
             stack.append([])
         elif tok == ")":
             if len(stack) == 1:

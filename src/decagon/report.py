@@ -10,6 +10,7 @@ and reaches its verdicts through the one kernel ``compare``.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -170,16 +171,30 @@ def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> Axi
     that agree on every element, the boundary they differ in.  The verdict
     passes when there is no witness and at least one instance was
     evaluated.
+
+    Automatic cyclic garbage collection is paused while ``instances`` is
+    consumed, which is where every checker builds its carriers and runs
+    its composites: hash-consed elements form no cycles, so the collector
+    would only re-walk the intern table.  The pause is process-wide, so
+    other threads allocate without it for the length of one verdict; a
+    nested ``compare`` or a caller that had collection off finds it as it
+    left it, and any cycle made meanwhile goes at the next collection.
     """
     checked = skipped = 0
     witness = None
-    for at, sides in instances:
-        if sides is None:
-            skipped += 1
-            continue
-        checked += 1
-        if witness is None:
-            witness = _difference(at, sides)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for at, sides in instances:
+            if sides is None:
+                skipped += 1
+                continue
+            checked += 1
+            if witness is None:
+                witness = _difference(at, sides)
+    finally:
+        if collecting:
+            gc.enable()
     return AxiomVerdict(axiom, passed=witness is None and checked > 0, checked=checked,
                         skipped=skipped, witness=witness)
 

@@ -310,6 +310,63 @@ def test_pasting_derive_on_a_cell_the_script_does_not_fit_is_a_configuration_err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_pasting_derive_checks_against_the_interchangers_its_builder_registers(
+        tmp_path, capsys):
+    # the builtin asset without its axioms and its interchanger squares: the
+    # builders register the interchangers they slide through in a copy,
+    # and the derived terms are checked against that copy
+    from decagon.pasting import builtin_signature, signature_to_text
+
+    sig = builtin_signature().copy()
+    sig.axioms.clear()
+    sig.cells = {name: cell for name, cell in sig.cells.items() if not name.startswith("xc-")}
+    path = tmp_path / "no-interchangers.sexp"
+    path.write_text(signature_to_text(sig))
+    code = run(["pasting-derive", "--axiom", "Omega", "--signature", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["derivations"]["Omega"]["boundary_matches"] is True
+    assert run(["pasting-derive", "--axiom", "all", "--signature", str(path)]) == 0
+
+
+def _nested_axiom_signature(depth: int) -> str:
+    """The builtin asset plus an axiom ``Deep`` whose left side nests
+    ``depth`` parentheses within the file's outermost form."""
+    from decagon.pasting import builtin_signature, signature_to_text
+
+    term = "(id @ T)"
+    for _ in range(depth - 3):  # the signature and axiom forms nest two more
+        term = f"(vcomp {term} (id @ T))"
+    text = signature_to_text(builtin_signature())
+    return text.rstrip().removesuffix(")") + f"  (axiom Deep\n    {term}\n    (id @ T)))\n"
+
+
+@pytest.mark.parametrize("command", ["pasting-check", "pasting-derive"])
+def test_deeply_nested_signature_is_a_configuration_error(tmp_path, capsys, command):
+    from decagon.pasting.signature import MAX_NESTING
+
+    path = tmp_path / "deep.sexp"
+    path.write_text(_nested_axiom_signature(1200))
+    code = run([command, "--axiom", "Deep" if command == "pasting-check" else "H",
+                "--signature", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: cannot load signature {path}: "
+                   f"forms nest deeper than {MAX_NESTING} levels\n")
+
+
+def test_signature_nested_to_the_limit_is_checked(tmp_path, capsys):
+    # every recursion over the terms of a signature at the nesting limit
+    # stays within the interpreter's stack
+    from decagon.pasting.signature import MAX_NESTING
+
+    path = tmp_path / "deep.sexp"
+    path.write_text(_nested_axiom_signature(MAX_NESTING))
+    code = run(["pasting-check", "--axiom", "Deep", "--max-size", "0", "--signature", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"] == []
+
+
 def _readme_cli_commands() -> list[list[str]]:
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]

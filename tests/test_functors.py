@@ -20,6 +20,7 @@ from decagon.functors import (
     compose_functors,
     size_within,
 )
+from decagon.transforms import OversizeCarrier, source_carrier
 from test_elements import key_is_set, reference_key
 
 SMALL = [atoms(), atoms("a"), atoms("a", "b")]
@@ -47,6 +48,19 @@ def test_carrier_size_matches_enumeration():
                 assert size_within(F, len(X), cap) == cap + 1
     # a tower far above the cap saturates without being computed
     assert size_within(Comp(Power(), Comp(Power(), Power())), 10, 1000) == 1001
+
+
+@pytest.mark.parametrize("F", [
+    Comp(Const(atoms("k")), Comp(Power(), Power())),
+    Prod(Comp(Power(), Power()), Const(atoms())),
+    Comp(Exp(atoms()), Comp(Power(), Power())),
+], ids=["constant-outer", "empty-factor", "empty-exponent"])
+def test_size_within_saturates_when_a_carrier_built_on_the_way_exceeds_the_cap(F):
+    # F(X) has at most one element, but apply_obj would build PP(X), with
+    # 2^32 elements at |X| = 5, on the way; the cap guard refuses instead
+    assert size_within(F, 5, 1000) == 1001
+    with pytest.raises(OversizeCarrier):
+        source_carrier(F, atoms(*"abcde"), 1000)
 
 
 def test_functoriality_identity_and_composition():
@@ -150,6 +164,17 @@ def test_power_lists_subsets_in_the_order_of_their_member_tuples():
         expected = sorted(c for r in range(n + 1) for c in combinations(labels, r))
         carrier = apply_obj(Power(), atoms(*labels))
         assert carrier.elements == tuple(Subset(map(Atom, c)) for c in expected)
+
+
+def test_power_interns_its_subsets_without_the_subset_sort(monkeypatch):
+    X = atoms(*(f"{c}-power-intern" for c in "abcde"))  # labels no other test builds
+    calls = []
+    new = Subset.__new__
+    monkeypatch.setattr(Subset, "__new__", lambda cls, members: calls.append(cls) or new(cls, members))
+    carrier = apply_obj(Power(), X)
+    monkeypatch.undo()
+    assert calls == [] and len(carrier) == 32
+    assert all(s is Subset(s._members) for s in carrier)
 
 
 def test_carriers_are_built_without_order_keys_or_a_membership_set():

@@ -2,8 +2,10 @@
 
 No decagon module imports an underscore-prefixed name from another
 decagon module: a name that another module needs is public.  Only
-``functors.apply_obj`` calls the trusted ``FinSet._raw``, which skips the
-sort: every other carrier, user input included, is sorted by ``FinSet``.
+``functors.apply_obj`` calls the trusted ``FinSet._raw`` and
+``Subset._raw``, which skip the sort: every other carrier, user input
+included, is sorted by ``FinSet``, and every other subset by ``Subset``.
+Only ``report.compare`` pauses and resumes the cycle collector.
 And every top-level function and class is referenced somewhere in the
 package outside its own definition, or wrapped by the benchmark's tracer.
 """
@@ -33,25 +35,43 @@ def test_no_module_imports_a_private_name_from_another():
     assert list(_private_imports()) == []
 
 
-def _trusted_finset_uses():
-    """Every ``FinSet._raw`` in the source and the tests, as (place, inside
-    ``functors.apply_obj``)."""
-    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+def _uses(paths, owner: str, attrs: set[str], module: str, function: str):
+    """Every ``owner.attr`` in ``paths``, as (place, inside the top-level
+    ``function`` of ``module``)."""
+    for path in paths:
         tree = ast.parse(path.read_text(), str(path))
         allowed = set()
-        if path == SRC / "functors.py":
+        if path == SRC / module:
             for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "apply_obj":
+                if isinstance(node, ast.FunctionDef) and node.name == function:
                     allowed = {id(n) for n in ast.walk(node)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "_raw"
-                    and isinstance(node.value, ast.Name) and node.value.id == "FinSet"):
+            if (isinstance(node, ast.Attribute) and node.attr in attrs
+                    and isinstance(node.value, ast.Name) and node.value.id == owner):
                 yield f"{path.relative_to(ROOT)}:{node.lineno}", id(node) in allowed
 
 
-def test_only_apply_obj_skips_the_carrier_sort():
-    uses = list(_trusted_finset_uses())
+SOURCES_AND_TESTS = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _only_apply_obj_calls_raw(owner: str):
+    uses = list(_uses(SOURCES_AND_TESTS, owner, {"_raw"}, "functors.py", "apply_obj"))
     assert any(inside for _, inside in uses)  # the check sees apply_obj's calls
+    assert [place for place, inside in uses if not inside] == []
+
+
+def test_only_apply_obj_skips_the_carrier_sort():
+    _only_apply_obj_calls_raw("FinSet")
+
+
+def test_only_apply_obj_skips_the_subset_sort():
+    _only_apply_obj_calls_raw("Subset")
+
+
+def test_only_compare_pauses_the_cycle_collector():
+    uses = list(_uses(sorted(SRC.rglob("*.py")), "gc", {"disable", "enable"},
+                      "report.py", "compare"))
+    assert sum(inside for _, inside in uses) == 2  # the check sees the pause
     assert [place for place, inside in uses if not inside] == []
 
 
