@@ -27,7 +27,6 @@ from .elements import (
     Subset,
     compose,
     identity,
-    subset,
 )
 from .functors import Id, apply_obj, compiled_action, compose_functors
 from .monads import (
@@ -347,13 +346,13 @@ def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
 def _exception_dist(e: Element) -> Element:
     """lambda(inl S) = image of S under inl; lambda(inr e) = {inr e}."""
     if type(e) is Inl:
-        return subset(Inl(x) for x in e.value._members)
+        return Subset(map(Inl, e.value._members))
     return Subset((e,))
 
 
 def _strength(e: Element) -> Element:
     """(m, S) goes to the set of pairs (m, x) for x in S."""
-    return subset(Pair(e.fst, x) for x in e.snd._members)
+    return Subset([Pair(e.fst, x) for x in e.snd._members])
 
 
 def _component(fn: Callable[[Element], Element], name: str):

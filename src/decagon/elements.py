@@ -7,12 +7,16 @@ have identical representations.  All values are immutable after
 construction.
 
 Elements are hash-consed: each constructor looks its structure up in the
-intern table ``_KEY_CACHE``, keyed by the tag and the child objects, and
-returns the live instance if there is one.  Two equal elements are
-therefore the same object, so equality and hashing are the ``object``
-defaults.  A subset is interned on its member tuple in intern order (by
-``id``), which needs no order key; ``Subset.members`` and the printers
-give the members in the structural order.  The order key
+intern table ``_KEY_CACHE`` and returns the live instance if there is one.
+Two equal elements are therefore the same object, so equality and hashing
+are the ``object`` defaults.  A subset is interned on its member tuple in
+intern order (by ``id``), which needs no order key, and an ``Inl`` on its
+value element; these two are most of what a check builds, so they carry
+no tag.  Every other constructor is interned on its tag followed by its
+label or children.  No two keys of different shapes are equal: the tagged
+keys are tuples led by an int, a member tuple holds only elements, and an
+element equals only itself.  ``Subset.members`` and the printers give the
+members in the structural order.  The order key
 ``(tag, children's keys...)`` is computed on first use into the ``_key``
 slot, because most elements are intermediates that are never sorted or
 printed.  Invariant: the table is never cleared, because identity equality
@@ -38,8 +42,9 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-# (tag, child objects...) -> the one live element with that structure
-_KEY_CACHE: dict[tuple, "Element"] = {}
+# member tuple, Inl value, or (tag, label or child objects...) -> the one
+# live element with that structure
+_KEY_CACHE: dict[object, "Element"] = {}
 
 
 class Element:
@@ -76,10 +81,9 @@ class Inl(Element):
     __slots__ = ("value",)
 
     def __new__(cls, value: Element):
-        ident = (1, value)
-        e = _KEY_CACHE.get(ident)
+        e = _KEY_CACHE.get(value)
         if e is None:
-            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e = _KEY_CACHE[value] = object.__new__(cls)
             e.value = value
         return e
 
@@ -139,10 +143,9 @@ class Subset(Element):
 
     def __new__(cls, members: Iterable[Element]):
         ms = tuple(sorted(set(members), key=id))
-        ident = (4, ms)
-        e = _KEY_CACHE.get(ident)
+        e = _KEY_CACHE.get(ms)
         if e is None:
-            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e = _KEY_CACHE[ms] = object.__new__(cls)
             e._members = ms
         return e
 
@@ -151,10 +154,9 @@ class Subset(Element):
         """Internal constructor for a member tuple already distinct and in
         intern order; skips the set and the sort.  Only ``apply_obj``
         calls it."""
-        ident = (4, members)
-        e = _KEY_CACHE.get(ident)
+        e = _KEY_CACHE.get(members)
         if e is None:
-            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e = _KEY_CACHE[members] = object.__new__(cls)
             e._members = members
         return e
 
@@ -195,7 +197,8 @@ element_key = attrgetter("_key")
 
 
 def subset(members: Iterable[Element]) -> Subset:
-    """Canonical subset: duplicates removed, the member tuple in intern order."""
+    """Canonical subset: the public name for ``Subset(members)``, which the
+    library's own builders call directly."""
     return Subset(members)
 
 

@@ -6,11 +6,13 @@ is X -> X^R with postcomposition.  Comp(F,G) applies G first: it sends X to
 F(G(X)).
 
 The one element action is ``compiled_action``: it turns F and f into a
-closure tree that pushes single elements through F(f) without ever
-materialising intermediate carriers, with a memo per node.  Deeply iterated
-words (powersets of powersets) are only tractable pointwise, so every
-checker in this package is built on it, and the table-level ``apply_mor``
-is one compiled action run over the domain.
+tree of memo dicts, one per node of F, that pushes single elements through
+F(f) without ever materialising intermediate carriers.  Each node is a
+``dict`` whose ``__missing__`` computes a new result from its children, so
+its bound ``__getitem__`` is the action and a repeated element runs no
+Python frame.  Deeply iterated words (powersets of powersets) are only
+tractable pointwise, so every checker in this package is built on it, and
+the table-level ``apply_mor`` is one compiled action run over the domain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .elements import (
     Inr,
     Pair,
     Subset,
-    subset,
 )
 
 
@@ -146,67 +147,54 @@ def apply_elem(F: FunctorExpr, fn: Callable[[Element], Element], e: Element) -> 
     return compiled_action(F, fn)(e)
 
 
-def compiled_action(F: FunctorExpr, fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
-    """F(f) as a closure tree with one memo dict per node.
+class _Memo(dict):
+    """One node of a compiled action: a memo dict whose bound
+    ``__getitem__`` is the action, so a hit runs no Python frame; a miss
+    computes the result with ``step`` and keeps it."""
 
-    Nested carriers share members heavily, so per-node caching cuts deep
-    evaluations by orders of magnitude; giving every node its own dict
-    keeps results from different component functions apart.
+    __slots__ = ("step",)
+
+    def __init__(self, step: Callable[[Element], Element]):
+        self.step = step
+
+    def __missing__(self, e):
+        out = self[e] = self.step(e)
+        return out
+
+
+def compiled_action(F: FunctorExpr, fn: Callable[[Element], Element]) -> Callable[[Element], Element]:
+    """F(f) as a tree of memo dicts, one per node, over one memo of fn.
+
+    fn is called once per distinct element, at the ``Id`` leaves, which
+    share one memo; every other node keeps its own results.  Nested
+    carriers share members heavily, so the memos cut deep evaluations by
+    orders of magnitude, and a new tree per call keeps results from
+    different component functions apart.
     """
+    return _action(F, _Memo(fn).__getitem__)
+
+
+def _action(F: FunctorExpr, leaf: Callable[[Element], Element]) -> Callable[[Element], Element]:
+    """The action of F over ``leaf``, an action that memoises itself."""
+    if isinstance(F, Id):
+        return leaf
     if isinstance(F, Const):
         return lambda e: e
     if isinstance(F, Comp):
-        return compiled_action(F.outer, compiled_action(F.inner, fn))
-
-    if isinstance(F, Id):
-        inner = fn
-    elif isinstance(F, Sum):
-        lf = compiled_action(F.left, fn)
-        rf = compiled_action(F.right, fn)
-        inner = lambda e: Inl(lf(e.value)) if type(e) is Inl else Inr(rf(e.value))
+        return _action(F.outer, _action(F.inner, leaf))
+    if isinstance(F, Sum):
+        lf, rf = _action(F.left, leaf), _action(F.right, leaf)
+        step = lambda e: Inl(lf(e.value)) if type(e) is Inl else Inr(rf(e.value))
     elif isinstance(F, Prod):
-        ff = compiled_action(F.left, fn)
-        sf = compiled_action(F.right, fn)
-        inner = lambda e: Pair(ff(e.fst), sf(e.snd))
+        ff, sf = _action(F.left, leaf), _action(F.right, leaf)
+        step = lambda e: Pair(ff(e.fst), sf(e.snd))
     elif isinstance(F, Power):
-        member_memo: dict = {}
-
-        def inner(e, _fn=fn, _memo=member_memo):
-            out = []
-            for m in e._members:
-                v = _memo.get(m)
-                if v is None:
-                    v = _fn(m)
-                    _memo[m] = v
-                out.append(v)
-            return subset(out)
-
+        step = lambda e: Subset(map(leaf, e._members))
     elif isinstance(F, Exp):
-        entry_memo: dict = {}
-
-        def inner(e, _fn=fn, _memo=entry_memo):
-            out = []
-            for k, v in e.entries:
-                w = _memo.get(v)
-                if w is None:
-                    w = _fn(v)
-                    _memo[v] = w
-                out.append((k, w))
-            return FnTable(tuple(out))
-
+        step = lambda e: FnTable(tuple([(k, leaf(v)) for k, v in e.entries]))
     else:
         raise TypeError(f"not a FunctorExpr: {F!r}")
-
-    memo: dict = {}
-
-    def run(e, _inner=inner, _memo=memo):
-        out = _memo.get(e)
-        if out is None:
-            out = _inner(e)
-            _memo[e] = out
-        return out
-
-    return run
+    return _Memo(step).__getitem__
 
 
 def apply_mor(F: FunctorExpr, f: FinFn) -> FinFn:

@@ -29,7 +29,6 @@ from .elements import (
     atoms,
     compose,
     identity,
-    subset,
 )
 from .functors import (
     Const,
@@ -349,10 +348,7 @@ def powerset_monad() -> MonadMonoidal:
     T = Power()
 
     def m_fn(e: Element) -> Element:
-        out = []
-        for s in e._members:
-            out.extend(s._members)
-        return subset(out)
+        return Subset([m for s in e._members for m in s._members])
 
     return MonadMonoidal(
         "powerset",

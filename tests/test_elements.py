@@ -18,6 +18,7 @@ from decagon.elements import (
     Inr,
     Pair,
     Subset,
+    _KEY_CACHE,
     all_functions,
     atoms,
     compose,
@@ -238,6 +239,26 @@ def test_key_is_computed_on_demand_after_membership(e, member_first):
     assert element_key(outer) == reference_key(outer)
     assert key_is_set(member) and element_key(member) == reference_key(member)
     assert outer.members == tuple(sorted((Inl(member), e), key=reference_key))
+
+
+@given(elements_strategy(), elements_strategy())
+@settings(max_examples=200, deadline=None)
+def test_intern_keys_of_different_constructors_never_meet(x, y):
+    # a subset is interned on its member tuple and an Inl on its value,
+    # beside tag-led tuples; no key of one shape may find another's element
+    x = Pair(Atom(f"fresh{next(_fresh)}"), x)  # so every structure below is new
+    empty = Subset(())
+    builds = [lambda: Inl(x), lambda: Inr(x), lambda: Subset((x,)), lambda: Subset((x, y)),
+              lambda: Pair(x, y), lambda: Subset(()), lambda: FnTable(((x, y),))]
+    built = []
+    for build in builds:
+        size = len(_KEY_CACHE)
+        e = build()
+        assert len(_KEY_CACHE) == size + (e is not empty)
+        built.append(e)
+    assert len({id(e) for e in built}) == len(builds)
+    assert [type(e) for e in built] == [Inl, Inr, Subset, Subset, Pair, Subset, FnTable]
+    assert all(rebuild(e) is e for e in built)
 
 
 # Interns the atoms and the singletons in the order given on the command

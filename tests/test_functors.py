@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from decagon.elements import (
-    Atom, FinFn, FnTable, Inl, Inr, Pair, Subset, all_functions, atoms, compose, identity, subset,
+    Atom, FinFn, FnTable, Inl, Inr, Pair, Subset, all_functions, atoms, compose, element_key, identity,
+    subset,
 )
 from decagon.functors import (
     Comp,
@@ -17,6 +18,7 @@ from decagon.functors import (
     apply_elem,
     apply_mor,
     apply_obj,
+    compiled_action,
     compose_functors,
     size_within,
 )
@@ -71,6 +73,35 @@ def test_functoriality_identity_and_composition():
         for f in all_functions(X, Y):
             for g in all_functions(Y, Z):
                 assert apply_mor(F, compose(g, f)) == compose(apply_mor(F, g), apply_mor(F, f))
+
+
+@pytest.mark.parametrize("F", [
+    Power(),
+    Comp(Power(), Power()),
+    Exp(atoms("r1", "r2")),
+    Prod(Id(), Power()),
+    Sum(Id(), Power()),
+], ids=repr)
+def test_compiled_action_calls_the_component_once_per_distinct_element(F):
+    X, Y = atoms("a", "b", "c"), atoms("c", "d")
+    f = all_functions(X, Y)[5]
+    calls = []
+    act = compiled_action(F, lambda x: calls.append(x) or f(x))
+    dom = apply_obj(F, X)
+    for _ in range(2):  # the second pass is all memo hits
+        assert [act(e) for e in dom] == [reference_action(F, f, e) for e in dom]
+    assert sorted(calls, key=element_key) == list(X.elements)
+
+
+@pytest.mark.parametrize("F", [Id(), Power(), Comp(Power(), Power()), Exp(atoms("r")),
+                               Prod(Id(), Power()), Sum(Id(), Power())], ids=repr)
+def test_actions_of_one_functor_from_different_functions_share_no_results(F):
+    X, Y = atoms("a", "b"), atoms("c", "d")
+    fs = all_functions(X, Y)
+    acts = [compiled_action(F, f) for f in fs]
+    for _ in range(2):  # the second pass reads every memo
+        for f, act in zip(fs, acts):
+            assert all(act(e) is reference_action(F, f, e) for e in apply_obj(F, X))
 
 
 def test_power_is_direct_image():

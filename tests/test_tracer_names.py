@@ -1,13 +1,17 @@
-"""The benchmark's tracer wraps decagon functions by module and name, so a
-renamed or deleted function would silently drop out of a traced run."""
+"""The benchmark reaches into decagon by module and name: its tracer wraps
+functions, so a renamed or deleted function would silently drop out of a
+traced run, and every run reads the sizes of two intern tables, so a
+reshaped table would fail every run."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _traced_names():
@@ -25,3 +29,11 @@ _TRACED = _traced_names()
 def test_every_traced_name_resolves_in_decagon(metric, modname, fname):
     assert modname.split(".")[0] == "decagon"
     assert callable(getattr(importlib.import_module(modname), fname, None)), metric
+
+
+def test_the_tables_the_benchmark_sizes_resolve_and_have_a_length():
+    # bench/child.py records len(elements._KEY_CACHE) and len(functors._OBJ_CACHE)
+    reached = set(re.findall(r"\b(elements|functors)\.(_[A-Z_]+)\b", (BENCH / "child.py").read_text()))
+    assert reached == {("elements", "_KEY_CACHE"), ("functors", "_OBJ_CACHE")}
+    for modname, name in reached:
+        assert len(getattr(importlib.import_module(f"decagon.{modname}"), name)) >= 0
