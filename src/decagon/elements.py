@@ -6,26 +6,32 @@ and then recursively, makes every carrier canonical: two equal sets always
 have identical representations.  All values are immutable after
 construction.
 
-Elements are hash-consed: each constructor looks its structure up in the
-intern table ``_KEY_CACHE`` and returns the live instance if there is one.
-Two equal elements are therefore the same object, so equality and hashing
-are the ``object`` defaults.  A subset is interned on its member tuple in
-intern order (by ``id``), which needs no order key, and an ``Inl`` on its
-value element; these two are most of what a check builds, so they carry
-no tag.  Every other constructor is interned on its tag followed by its
+Elements are hash-consed: each constructor looks its structure up in an
+intern table and returns the live instance if there is one.  Two equal
+elements are therefore the same object, so equality and hashing are the
+``object`` defaults.  A pair is interned by its children in the two-level
+table ``_PAIRS[fst][snd]``, so neither a hit nor a miss builds a key
+object; every product in the registry has a constant left factor (the
+writer monoid, the coreader labels), so the outer level stays small.
+Every other constructor is interned in ``_KEY_CACHE``: a subset on its
+member tuple in intern order (by ``id``), which needs no order key, an
+``Inl`` on its value element, and the rest on their tag followed by their
 label or children.  No two keys of different shapes are equal: the tagged
 keys are tuples led by an int, a member tuple holds only elements, and an
 element equals only itself.  ``Subset.members`` and the printers give the
-members in the structural order.  The order key
-``(tag, children's keys...)`` is computed on first use into the ``_key``
-slot, because most elements are intermediates that are never sorted or
-printed.  Invariant: the table is never cleared, because identity equality
-and the intern order hold only while it outlives every element.
+members in the structural order.
+
+The order key ``(tag, children's keys...)`` is computed on first use by
+``element_key`` and kept in the memo ``_ORDER_KEYS``, because most
+elements are intermediates that are never sorted or printed; an element
+carries no slot for it.  Invariant: the intern tables and the memo are
+never cleared, because identity equality and the intern order hold only
+while they outlive every element.
 
 Invariant: elements form no reference cycles.  Each constructor's
 children exist before it, its slots are set once, on creation, and never
-reassigned, and ``_key`` holds only order keys, tuples of tags, labels and
-keys.  So the cyclic garbage collector can free nothing here, and
+reassigned, and the memo holds only order keys, tuples of tags, labels
+and keys.  So the cyclic garbage collector can free nothing here, and
 ``report.compare`` pauses it while a verdict builds and drops elements.
 
 Carriers need no order keys: ``functors.apply_obj`` builds each one in the
@@ -39,27 +45,31 @@ without the set and the sort.
 from __future__ import annotations
 
 from itertools import product
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 # member tuple, Inl value, or (tag, label or child objects...) -> the one
-# live element with that structure
+# live element with that structure; pairs live in _PAIRS instead
 _KEY_CACHE: dict[object, "Element"] = {}
+
+# fst -> snd -> the one live Pair(fst, snd)
+_PAIRS: dict["Element", dict["Element", "Pair"]] = {}
+
+
+class _OrderKeys(dict):
+    """Element -> order key; a missing key is computed and kept."""
+
+    def __missing__(self, e):
+        key = self[e] = e._order_key()
+        return key
+
+
+_ORDER_KEYS = _OrderKeys()
 
 
 class Element:
-    """Base class for hash-consed elements; ``_key`` is the order key,
-    filled on first use."""
+    """Base class for hash-consed elements."""
 
-    __slots__ = ("_key",)
-
-    def __getattr__(self, name):
-        # Reached only while a slot is unset, so a filled ``_key`` is read
-        # directly; the order key is computed here on first use.
-        if name != "_key":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        key = self._key = self._order_key()
-        return key
+    __slots__ = ()
 
 
 class Atom(Element):
@@ -70,8 +80,11 @@ class Atom(Element):
         e = _KEY_CACHE.get(ident)
         if e is None:
             e = _KEY_CACHE[ident] = object.__new__(cls)
-            e.label, e._key = label, ident
+            e.label = label
         return e
+
+    def _order_key(self):
+        return (0, self.label)
 
     def __repr__(self):
         return f"Atom({self.label!r})"
@@ -88,7 +101,7 @@ class Inl(Element):
         return e
 
     def _order_key(self):
-        return (1, self.value._key)
+        return (1, element_key(self.value))
 
     def __repr__(self):
         return f"Inl({self.value!r})"
@@ -106,7 +119,7 @@ class Inr(Element):
         return e
 
     def _order_key(self):
-        return (2, self.value._key)
+        return (2, element_key(self.value))
 
     def __repr__(self):
         return f"Inr({self.value!r})"
@@ -116,15 +129,17 @@ class Pair(Element):
     __slots__ = ("fst", "snd")
 
     def __new__(cls, fst: Element, snd: Element):
-        ident = (3, fst, snd)
-        e = _KEY_CACHE.get(ident)
+        row = _PAIRS.get(fst)
+        if row is None:
+            row = _PAIRS[fst] = {}
+        e = row.get(snd)
         if e is None:
-            e = _KEY_CACHE[ident] = object.__new__(cls)
+            e = row[snd] = object.__new__(cls)
             e.fst, e.snd = fst, snd
         return e
 
     def _order_key(self):
-        return (3, self.fst._key, self.snd._key)
+        return (3, element_key(self.fst), element_key(self.snd))
 
     def __repr__(self):
         return f"Pair({self.fst!r}, {self.snd!r})"
@@ -166,7 +181,7 @@ class Subset(Element):
         return tuple(sorted(self._members, key=element_key))
 
     def _order_key(self):
-        return (4, tuple(sorted(m._key for m in self._members)))
+        return (4, tuple(sorted(map(element_key, self._members))))
 
     def __repr__(self):
         return f"Subset({list(self.members)!r})"
@@ -186,14 +201,14 @@ class FnTable(Element):
         return e
 
     def _order_key(self):
-        return (5, tuple((a._key, b._key) for a, b in self.entries))
+        return (5, tuple((element_key(a), element_key(b)) for a, b in self.entries))
 
     def __repr__(self):
         return f"FnTable({list(self.entries)!r})"
 
 
 # Total-order key of an element: constructor tag, then the children's keys.
-element_key = attrgetter("_key")
+element_key = _ORDER_KEYS.__getitem__
 
 
 def subset(members: Iterable[Element]) -> Subset:

@@ -19,6 +19,8 @@ from decagon.elements import (
     Pair,
     Subset,
     _KEY_CACHE,
+    _ORDER_KEYS,
+    _PAIRS,
     all_functions,
     atoms,
     compose,
@@ -27,7 +29,9 @@ from decagon.elements import (
     identity,
     subset,
 )
-from decagon.functors import Power, apply_obj
+from decagon.distlaw import _strength
+from decagon.functors import Const, Id, Power, Prod, apply_elem, apply_obj
+from decagon.monads import GROUP_Z2, builtin_monads
 
 
 def elements_strategy():
@@ -46,9 +50,9 @@ def elements_strategy():
 
 
 def reference_key(e):
-    """The order key recomputed recursively from the structure, as it was
-    defined before elements carried it in a slot; a subset's member keys
-    are sorted here, so no order the implementation keeps is trusted."""
+    """The order key recomputed recursively from the structure, without
+    the memo; a subset's member keys are sorted here, so no order the
+    implementation keeps is trusted."""
     if type(e) is Atom:
         return (0, e.label)
     if type(e) is Inl:
@@ -204,12 +208,17 @@ def test_fn_table_order_does_not_reach_equality_hash_or_pairs(order, values):
 
 
 def key_is_set(e):
-    """Whether the ``_key`` slot is filled, read without computing it."""
-    try:
-        Element.__dict__["_key"].__get__(e, type(e))
-    except AttributeError:
-        return False
-    return True
+    """Whether the order key of ``e`` is in the memo, read without
+    computing it."""
+    return e in _ORDER_KEYS
+
+
+def test_no_element_class_keeps_an_order_key_slot():
+    classes = [Element, *Element.__subclasses__()]
+    assert {Atom, Inl, Inr, Pair, Subset, FnTable} <= set(classes)
+    assert Element.__slots__ == ()
+    assert [c.__name__ for c in classes if "_key" in c.__dict__.get("__slots__", ())] == []
+    assert not any(hasattr(e, "__dict__") for e in (Atom("a"), Pair(Atom("a"), Atom("b"))))
 
 
 @given(st.data())
@@ -241,24 +250,60 @@ def test_key_is_computed_on_demand_after_membership(e, member_first):
     assert outer.members == tuple(sorted((Inl(member), e), key=reference_key))
 
 
+def _intern_entries():
+    """Entries of the intern tables: ``_KEY_CACHE`` and the pair table."""
+    return len(_KEY_CACHE) + sum(map(len, _PAIRS.values()))
+
+
 @given(elements_strategy(), elements_strategy())
 @settings(max_examples=200, deadline=None)
 def test_intern_keys_of_different_constructors_never_meet(x, y):
     # a subset is interned on its member tuple and an Inl on its value,
-    # beside tag-led tuples; no key of one shape may find another's element
+    # beside tag-led tuples, and a pair in its own table; no key of one
+    # shape may find another's element
     x = Pair(Atom(f"fresh{next(_fresh)}"), x)  # so every structure below is new
     empty = Subset(())
     builds = [lambda: Inl(x), lambda: Inr(x), lambda: Subset((x,)), lambda: Subset((x, y)),
               lambda: Pair(x, y), lambda: Subset(()), lambda: FnTable(((x, y),))]
     built = []
     for build in builds:
-        size = len(_KEY_CACHE)
+        size = _intern_entries()
         e = build()
-        assert len(_KEY_CACHE) == size + (e is not empty)
+        assert _intern_entries() == size + (e is not empty)
         built.append(e)
     assert len({id(e) for e in built}) == len(builds)
     assert [type(e) for e in built] == [Inl, Inr, Subset, Subset, Pair, Subset, FnTable]
     assert all(rebuild(e) is e for e in built)
+
+
+_WRITER, _COREADER = builtin_monads()["writer"], builtin_monads()["coreader"]
+_MONOID = GROUP_Z2.elems  # the writer monad's monoid
+
+
+def _pair_routes(label, x):
+    """Pair(Atom(label), x) as each part of the library builds it."""
+    a, X = Atom(label), FinSet([x])
+    M = FinSet(Atom(l) for l in _MONOID)
+    writer_u, writer_m = _WRITER.unit.rule(X), _WRITER.mult.rule(X)
+    return [
+        Pair(a, x),
+        next(p for p in apply_obj(Prod(Const(M), Id()), X) if p.fst is a),
+        apply_elem(Prod(Const(M), Id()), lambda _: x, Pair(a, Atom("y"))),
+        *_strength(Pair(a, Subset((x,))))._members,
+        writer_m(Pair(a, writer_u(x))),
+        _COREADER.comult.rule(X)(Pair(a, x)).snd,
+    ]
+
+
+@given(st.sampled_from(_MONOID), elements_strategy(), st.sampled_from(_MONOID), elements_strategy())
+@settings(max_examples=200, deadline=None)
+def test_every_route_to_a_pair_gives_the_one_interned_pair(a, x, b, y):
+    ps, qs = _pair_routes(a, x), _pair_routes(b, y)
+    p, q = _PAIRS[Atom(a)][x], _PAIRS[Atom(b)][y]
+    assert [r for r in ps if r is not p] == []
+    assert [r for r in qs if r is not q] == []
+    assert (p is q) == (a == b and x is y)
+    assert (p.fst, p.snd) == (Atom(a), x)
 
 
 # Interns the atoms and the singletons in the order given on the command

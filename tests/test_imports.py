@@ -5,7 +5,9 @@ decagon module: a name that another module needs is public.  Only
 ``functors.apply_obj`` calls the trusted ``FinSet._raw`` and
 ``Subset._raw``, which skip the sort: every other carrier, user input
 included, is sorted by ``FinSet``, and every other subset by ``Subset``.
-Only ``report.compare`` pauses and resumes the cycle collector.
+Only ``report.compare`` pauses and resumes the cycle collector.  Only
+``elements`` names its intern tables and its order-key memo, so their
+layout is decided in one module.
 And every top-level function and class is referenced somewhere in the
 package outside its own definition, or wrapped by the benchmark's tracer.
 """
@@ -75,6 +77,27 @@ def test_only_compare_pauses_the_cycle_collector():
     assert [place for place, inside in uses if not inside] == []
 
 
+def _name(node) -> str | None:
+    """The name a node mentions: a name, an attribute or an imported name."""
+    return (node.id if isinstance(node, ast.Name) else node.attr
+            if isinstance(node, ast.Attribute) else node.name
+            if isinstance(node, ast.alias) else None)
+
+
+_ELEMENT_TABLES = {"_KEY_CACHE", "_PAIRS", "_ORDER_KEYS"}
+
+
+def test_only_elements_names_the_intern_tables():
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _name(node) in _ELEMENT_TABLES:
+                yield f"{path.relative_to(SRC)}:{node.lineno} {_name(node)}"
+
+    assert {n.rsplit(" ", 1)[1] for n in names(SRC / "elements.py")} == _ELEMENT_TABLES
+    assert [n for path in sorted(SRC.rglob("*.py")) if path != SRC / "elements.py"
+            for n in names(path)] == []
+
+
 def _traced_functions() -> set[str]:
     """The function names the benchmark's tracer wraps by name."""
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
@@ -93,9 +116,7 @@ def _unreferenced_definitions():
         defs += [(path, node) for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name) else node.attr
-                    if isinstance(node, ast.Attribute) else node.name
-                    if isinstance(node, ast.alias) else None)
+            name = _name(node)
             if name is not None:
                 refs.append((name, path, id(node)))
     for path, node in defs:

@@ -405,3 +405,23 @@ def test_check_category_skips_kleisli_compositions_without_components():
     report = check_category(kleisli(extend_to_kleisli(alg)), U1)
     rows = [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in report.verdicts]
     assert rows == [("unitality", True, 6, 10, None), ("associativity", True, 13, 151, None)]
+
+
+def test_base_category_composes_through_the_module_name(monkeypatch):
+    # the benchmark counts compositions by rebinding ``compose`` in each
+    # module that holds it; the base category must look it up per call
+    import decagon.monads
+    from decagon.distlaw import builtin_laws, extend_to_kleisli, monoidal_to_algebra
+
+    calls = []
+
+    def counting(g, f):
+        calls.append(1)
+        return compose(g, f)
+
+    ext = extend_to_kleisli(monoidal_to_algebra(builtin_laws()["exception-over-powerset"]))
+    monkeypatch.setattr(decagon.monads, "compose", counting)
+    report = check_monad_extensive(ext, TestUniverse.sizes(1))
+    monkeypatch.undo()
+    assert report.ok, report.summary()
+    assert len(calls) > 0
