@@ -62,6 +62,9 @@ def _load_registry(path: str | None):
             raise ConfigError(f"cannot read registry {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"registry {path} must hold a JSON object")
+        for key in ("monads", "laws"):
+            if not isinstance(data.get(key, []), list):
+                raise ConfigError(f"registry {path}: {key!r} must be a list")
         for i, cfg in enumerate(data.get("monads", [])):
             try:
                 m = monad_from_config(cfg)
@@ -235,6 +238,8 @@ def _run_check_monad(args, monads, laws) -> tuple[int, dict, list[str]]:
     universe = _universe(args)
     reports = []
     if isinstance(m, ComonadMonoidal):
+        if args.form == "extensive":
+            raise ConfigError(f"form 'extensive' does not apply to comonad {args.monad!r}")
         reports.append(check_comonad(m, universe))
     else:
         if args.form in ("monoidal", "all"):
@@ -357,7 +362,7 @@ def _load_signature(path: str | None):
 
 
 def _run_pasting_check(args, monads, laws) -> tuple[int, dict, list[str]]:
-    from .pasting.evaluate import check_axiom_degenerate
+    from .pasting.evaluate import DepthBoundExceeded, check_axiom_degenerate
 
     sig = _load_signature(args.signature)
     interp = _interpretation_by_name(args.interpretation, laws)
@@ -366,7 +371,10 @@ def _run_pasting_check(args, monads, laws) -> tuple[int, dict, list[str]]:
     for name in names:
         if name not in sig.axioms:
             raise ConfigError(f"unknown axiom {name!r}")
-    reports = [check_axiom_degenerate(n, interp, universe, sig) for n in names]
+    try:
+        reports = [check_axiom_degenerate(n, interp, universe, sig) for n in names]
+    except DepthBoundExceeded as exc:
+        raise ConfigError(str(exc)) from exc
     ok = all(r.ok for r in reports)
     payload = _report_json("pasting-check", universe.describe(), reports)
     return (0 if ok else 1), payload, [r.summary() for r in reports]

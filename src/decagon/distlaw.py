@@ -8,7 +8,8 @@ presented through extension operators hom(X, PTY) -> hom(TX, PTY) that
 never iterate P (no-iteration form).  Converters move between the forms;
 ``compose_monads`` builds the composite monad on PT and
 ``extend_to_kleisli`` the induced extensive monad on the Kleisli category
-of P.  The mixed case (a comonad distributing over a monad) gets a decagon
+of P.  Each family they build (alpha, the recovered lambda, the composite
+unit and multiplication) is one ``derived`` path of whiskered steps.  The mixed case (a comonad distributing over a monad) gets a decagon
 checker plus the classical four-axiom checker for cross-validation.
 """
 
@@ -28,7 +29,7 @@ from .elements import (
     compose,
     identity,
 )
-from .functors import Id, apply_obj, compiled_action, compose_functors
+from .functors import Id, apply_obj, compose_functors
 from .monads import (
     ComonadMonoidal,
     ConstructionRefused,
@@ -42,7 +43,7 @@ from .monads import (
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
 from .report import LawReport, TestUniverse, compare, instances, quantify
-from .transforms import NatTrans, derived, extension, formula, tabulated
+from .transforms import NatTrans, Step, derived, extension, formula, tabulated
 
 
 @dataclass
@@ -228,15 +229,8 @@ def _require(report: LawReport, what: str) -> None:
 def monoidal_to_algebra(D: DistLaw) -> DistLawAlgebra:
     """alpha = Pm after lambda-whiskered-by-T."""
     T, P = D.T.functor, D.P.functor
-    lam, m = D.lam, D.T.mult
-
-    def rule(X: FinSet) -> Callable[[Element], Element]:
-        lam_fn = lam.rule(apply_obj(T, X))
-        pm = compiled_action(P, m.rule(X))
-        return lambda e: pm(lam_fn(e))
-
-    alpha = derived(compose_functors(T, P, T), compose_functors(P, T), rule,
-                    f"alpha[{D.name}]", lam, m)
+    alpha = derived(compose_functors(T, P, T), compose_functors(P, T), f"alpha[{D.name}]",
+                    Step(Id(), D.lam, T), Step(P, D.T.mult, Id()))
     return DistLawAlgebra(D.name, D.T, D.P, alpha)
 
 
@@ -244,16 +238,9 @@ def algebra_to_monoidal(D: DistLawAlgebra, universe: Optional[TestUniverse] = No
     """Recover lambda as alpha after TPu."""
     if universe is not None:
         _require(check_algebra(D, universe), f"algebra form of {D.name}")
-    T, P = D.T.functor, D.P.functor
-    u, alpha = D.T.unit, D.alpha
-    TP = compose_functors(T, P)
-
-    def rule(X: FinSet) -> Callable[[Element], Element]:
-        tpu = compiled_action(TP, u.rule(X))
-        alpha_fn = alpha.rule(X)
-        return lambda e: alpha_fn(tpu(e))
-
-    lam = derived(TP, compose_functors(P, T), rule, f"lambda[{D.name}]", alpha, u)
+    TP = compose_functors(D.T.functor, D.P.functor)
+    lam = derived(TP, compose_functors(D.P.functor, D.T.functor), f"lambda[{D.name}]",
+                  Step(TP, D.T.unit, Id()), Step(Id(), D.alpha, Id()))
     return DistLaw(D.name, D.T, D.P, lam)
 
 
@@ -286,56 +273,27 @@ def compose_monads(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -
     if universe is not None:
         _require(check_algebra(D, universe), f"algebra form of {D.name}")
     T, P = D.T.functor, D.P.functor
-    u, m = D.T.unit, D.T.mult
-    eta, mu = D.P.unit, D.P.mult
-    lam = algebra_to_monoidal(D).lam
     PT = compose_functors(P, T)
-
-    def unit_rule(X: FinSet) -> Callable[[Element], Element]:
-        u_fn = u.rule(X)
-        eta_fn = eta.rule(apply_obj(T, X))
-        return lambda e: eta_fn(u_fn(e))
-
-    def mult_rule(X: FinSet) -> Callable[[Element], Element]:
-        # PTPT -> PT: P(lambda T); P(P m); mu T
-        tx = apply_obj(T, X)
-        plam = compiled_action(P, lam.rule(tx))
-        ppm = compiled_action(compose_functors(P, P), m.rule(X))
-        mu_fn = mu.rule(tx)
-
-        def go(e: Element) -> Element:
-            return mu_fn(ppm(plam(e)))
-
-        return go
-
     return MonadMonoidal(
         f"{D.P.name}.{D.T.name}",
         PT,
-        derived(Id(), PT, unit_rule, "unit", u, eta),
-        derived(compose_functors(PT, PT), PT, mult_rule, "mult", lam, m, mu),
+        derived(Id(), PT, "unit", Step(Id(), D.T.unit, Id()), Step(Id(), D.P.unit, T)),
+        derived(compose_functors(PT, PT), PT, "mult", Step(P, algebra_to_monoidal(D).lam, T),
+                Step(compose_functors(P, P), D.T.mult, Id()), Step(Id(), D.P.mult, T)),
     )
 
 
 def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> MonadExtensive:
-    """Extensive monad on the Kleisli category of P induced by the law."""
+    """Extensive monad on the Kleisli category of P induced by the law: its
+    unit is the composite monad's."""
     if universe is not None:
         _require(check_algebra(D, universe), f"algebra form of {D.name}")
-    T = D.T.functor
-    u, eta = D.T.unit, D.P.unit
-    kl = kleisli(monoidal_to_extensive(D.P))
-
-    def unit_at(X: FinSet) -> FinFn:
-        tx = apply_obj(T, X)
-        u_table = u.component(X)
-        eta_table = eta.component(tx)
-        return compose(eta_table, u_table)
-
     return MonadExtensive(
         f"kleisli-extension[{D.name}]",
-        obj=lambda X: apply_obj(T, X),
-        unit_at=unit_at,
+        obj=lambda X: apply_obj(D.T.functor, X),
+        unit_at=compose_monads(D).unit.component,
         ext=extension(D.alpha, D.T.functor),
-        ambient=kl,
+        ambient=kleisli(monoidal_to_extensive(D.P)),
     )
 
 

@@ -27,10 +27,15 @@ from dataclasses import dataclass, replace
 from ..elements import FinFn, FinSet
 from ..functors import Const, FunctorExpr, Id, apply_obj, compose_functors
 from ..report import AxiomVerdict, LawReport, TestUniverse, compare, instances, quantify
-from ..transforms import NatTrans, Step, compiled_step, source_carrier
+from ..transforms import (NatTrans, Step, compiled_path, compiled_step, formula, identity_nat,
+                          source_carrier)
 from .signature import Signature
 from .terms import CellGen, cells_used
 from .words import ArrowAtom, Path, Word
+
+
+class DepthBoundExceeded(ValueError):
+    """A cell needs functor words longer than the universe's depth bound."""
 
 
 @dataclass(eq=False)
@@ -60,9 +65,8 @@ class Interpretation:
         nt = self.arrows.get(atom.gen.name)
         if nt is None:
             fn = generics[atom.gen.name]
-            nt = NatTrans(self.word_functor(atom.gen.src, objects),
-                          self.word_functor(atom.gen.tgt, objects),
-                          lambda X, _f=fn: _f, name=atom.gen.name)
+            nt = formula(self.word_functor(atom.gen.src, objects),
+                         self.word_functor(atom.gen.tgt, objects), fn, name=atom.gen.name)
         return Step(self.word_functor(atom.prefix, objects), nt,
                     self.word_functor(atom.suffix, objects))
 
@@ -74,13 +78,9 @@ class Interpretation:
 
 def identity_interpretation() -> Interpretation:
     """T = P = identity; every arrow is an identity family."""
-    I = Id()
-    ident = NatTrans(I, I, lambda X: (lambda e: e), name="id")
-    return Interpretation(
-        "identity",
-        {"T": I, "P": I},
-        {k: ident for k in ("u", "m", "eta", "mu", "lambda", "alpha")},
-    )
+    ident = identity_nat(Id())
+    return Interpretation("identity", {"T": Id(), "P": Id()},
+                          {k: ident for k in ("u", "m", "eta", "mu", "lambda", "alpha")})
 
 
 def law_interpretation(law) -> Interpretation:
@@ -122,14 +122,9 @@ class _Side:
 
     def composite(self, generics: dict[str, FinFn]) -> dict:
         """The path's composite at X, the generic arrows taking ``generics``."""
-        fns = [compiled_step(self.interp.atom_step(atom, self.objects, generics), self.X, self.cap)
-               for atom in self.rest]
-        out = {}
-        for e, v in zip(self.dom, self.values):
-            for fn in fns:
-                v = fn(v)
-            out[e] = v
-        return out
+        fn = compiled_path([self.interp.atom_step(atom, self.objects, generics)
+                            for atom in self.rest], self.X, self.cap)
+        return {e: fn(v) for e, v in zip(self.dom, self.values)}
 
 
 def evaluate_cell(
@@ -158,7 +153,7 @@ def evaluate_cell(
     words = [cell.src.start, cell.tgt.start] + [a.tgt for a in atoms]
     depth = max(sum(1 for s in w.symbols if s in interp.functors) for w in words)
     if depth > universe.depth_bound:
-        raise ValueError(
+        raise DepthBoundExceeded(
             f"cell {cell.name} needs functor words of length {depth}, "
             f"universe depth bound is {universe.depth_bound}"
         )

@@ -36,8 +36,19 @@ class Signature:
     axioms: dict[str, tuple[PastingTerm, PastingTerm]] = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Every referenced name resolves and every axiom pair is parallel."""
+        """Every word is over the alphabet, every referenced name resolves
+        and every axiom pair is parallel."""
+        def over_alphabet(where: str, *paths: Path) -> None:
+            for p in paths:
+                for w in [p.start] + [atom.tgt for atom in p.atoms]:
+                    foreign = [s for s in w.symbols if s not in self.alphabet]
+                    if foreign:
+                        raise BoundaryError(f"{where} uses {foreign[0]!r}, which is not in the alphabet")
+
+        for a in self.arrows.values():
+            over_alphabet(f"arrow {a.name}", Path(a.src), Path(a.tgt))
         for cell in self.cells.values():
+            over_alphabet(f"cell {cell.name}", cell.src, cell.tgt)
             for path in (cell.src, cell.tgt):
                 for atom in path.atoms:
                     if atom.gen.name not in self.arrows:
@@ -47,6 +58,7 @@ class Signature:
         for name, (lhs, rhs) in self.axioms.items():
             bl = boundary(lhs, self)
             br = boundary(rhs, self)
+            over_alphabet(f"axiom {name}", *bl, *br)
             if bl != br:
                 raise BoundaryError(
                     f"axiom {name} is not parallel:\n  lhs {bl[0]} => {bl[1]}\n  rhs {br[0]} => {br[1]}"

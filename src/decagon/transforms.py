@@ -9,7 +9,9 @@ operators recovered from extension data) know their components only on a
 small universe; they transport along the canonical order-preserving
 bijection to same-size objects and raise ``ComponentUnavailable`` beyond
 that, a ``report.Refused`` that exhaustive checkers count as a skipped
-instance.
+instance.  A ``derived`` family is a path of whiskered ``Step``s, run by
+``compiled_path`` like every composite the checkers evaluate; no family is
+built any other way than by ``formula``, ``tabulated`` or ``derived``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .elements import Element, FinFn, FinSet
 from .functors import (
     FunctorExpr,
+    Id,
     apply_mor,
     apply_obj,
     compiled_action,
@@ -57,15 +60,6 @@ class NatTrans:
 def formula(src: FunctorExpr, tgt: FunctorExpr, fn: Callable[[Element], Element], name: str = "") -> NatTrans:
     """Object-independent component family given by one element formula."""
     return NatTrans(src, tgt, lambda X: fn, name=name)
-
-
-def derived(src: FunctorExpr, tgt: FunctorExpr, rule: ComponentRule, name: str,
-            *parts: NatTrans) -> NatTrans:
-    """Family whose rule is built from the components of ``parts``: it
-    needs its object when any part does, and is tabulated where they are."""
-    objects = [X for p in parts for X in p.tabulated_objects or ()]
-    return NatTrans(src, tgt, rule, name=name, needs_object=any(p.needs_object for p in parts),
-                    tabulated_objects=list(dict.fromkeys(objects)) or None)
 
 
 def identity_nat(F: FunctorExpr, name: str = "id") -> NatTrans:
@@ -135,17 +129,57 @@ def source_carrier(F: FunctorExpr, X: FinSet, cap: int) -> FinSet:
     return apply_obj(F, X)
 
 
-def compiled_step(s: Step, X: FinSet, cap: int) -> Callable[[Element], Element]:
+def _step_object(s: Step, X: FinSet, cap: Optional[int]) -> FinSet:
+    """X, or s's suffix at X if s's family needs its object; ``cap`` None
+    applies no cap."""
+    if not s.nt.needs_object:
+        return X
+    if cap is not None and size_within(s.suffix, len(X), cap) > cap:
+        raise OversizeCarrier(f"inner object exceeds cap {cap}")
+    return apply_obj(s.suffix, X)
+
+
+def compiled_step(s: Step, X: FinSet, cap: Optional[int]) -> Callable[[Element], Element]:
     """The element action of one whiskered component at X.
 
     Raises ``OversizeCarrier`` when a tabulated component's object would
     exceed ``cap`` and ``ComponentUnavailable`` when it is missing.
     """
-    if s.nt.needs_object:
-        if size_within(s.suffix, len(X), cap) > cap:
-            raise OversizeCarrier(f"inner object exceeds cap {cap}")
-        X = apply_obj(s.suffix, X)
-    return compiled_action(s.prefix, s.nt.rule(X))
+    return compiled_action(s.prefix, s.nt.rule(_step_object(s, X, cap)))
+
+
+def compiled_path(steps: Sequence[Step], X: FinSet, cap: Optional[int]) -> Callable[[Element], Element]:
+    """The composite of ``steps`` at X as an element action: each step is
+    compiled once, and an element is pushed through them in order."""
+    fns = [compiled_step(s, X, cap) for s in steps]
+
+    def run(e: Element) -> Element:
+        for fn in fns:
+            e = fn(e)
+        return e
+
+    return run
+
+
+def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatTrans:
+    """Family whose component at X is the path ``steps`` from src to tgt,
+    uncapped; it needs its object when a step's family does, and is
+    tabulated where they are.  An unwhiskered first step runs its bare
+    rule: every caller of a rule memoises or de-duplicates its inputs, or
+    (``extension``) calls it bare, so a leaf memo would only copy them."""
+    families = [s.nt for s in steps]
+    objects = [X for nt in families for X in nt.tabulated_objects or ()]
+    head, tail = (steps[0], steps[1:]) if isinstance(steps[0].prefix, Id) else (None, steps)
+
+    def rule(X: FinSet) -> Callable[[Element], Element]:
+        path = compiled_path(tail, X, None)
+        if head is None:
+            return path
+        bare = head.nt.rule(_step_object(head, X, None))
+        return lambda e: path(bare(e))
+
+    return NatTrans(src, tgt, rule, name=name, needs_object=any(nt.needs_object for nt in families),
+                    tabulated_objects=list(dict.fromkeys(objects)) or None)
 
 
 def composite_map(
@@ -154,21 +188,15 @@ def composite_map(
     """Evaluate a composite of whiskered components pointwise at X.
 
     Only the source carrier is enumerated; every element is pushed through
-    each step with the element-level functor action.  Raises
-    ``OversizeCarrier`` when the source carrier would exceed ``cap`` and
-    ``ComponentUnavailable`` when a tabulated component is missing.
+    the compiled path.  Raises ``OversizeCarrier`` when the source carrier
+    would exceed ``cap`` and ``ComponentUnavailable`` when a tabulated
+    component is missing.
     """
     if not steps:
         raise ValueError("empty composite")
     dom = source_carrier(step_source(steps[0]), X, cap)
-    fns = [compiled_step(s, X, cap) for s in steps]
-    out: dict[Element, Element] = {}
-    for e in dom.elements:
-        v = e
-        for fn in fns:
-            v = fn(v)
-        out[e] = v
-    return out
+    fn = compiled_path(steps, X, cap)
+    return {e: fn(e) for e in dom.elements}
 
 
 def square_failure(

@@ -109,6 +109,27 @@ def test_registry_with_bad_monoid_exit_two(tmp_path):
     assert run(["check-monad", "--monad", "writer", "--registry", str(registry)]) == 2
 
 
+@pytest.mark.parametrize("text,key", [('{"monads": 5}', "monads"), ('{"laws": null}', "laws")],
+                         ids=["monads-number", "laws-null"])
+def test_registry_section_that_is_not_a_list_exit_two(tmp_path, capsys, text, key):
+    registry = tmp_path / "registry.json"
+    registry.write_text(text)
+    assert run(["check-law", "--law", "exception-over-powerset", "--registry", str(registry)]) == 2
+    assert capsys.readouterr().err == f"error: registry {registry}: {key!r} must be a list\n"
+
+
+@pytest.mark.parametrize("form,code", [("extensive", 2), ("monoidal", 0), ("all", 0)])
+def test_check_monad_form_on_a_comonad(capsys, form, code):
+    # a comonad has counit and comultiplication laws only: no extensive form
+    assert run(["check-monad", "--monad", "coreader", "--form", form, "--max-size", "1"]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == "error: form 'extensive' does not apply to comonad 'coreader'\n"
+    else:
+        assert [v["law"] for v in json.loads(captured.out)["verdicts"]] == ["comonad:coreader[2]"] * 3
+
+
 @pytest.mark.parametrize("law,exhaustive", [
     ("writer-over-powerset", False),  # decagon and hexagon skip an instance at |X| = 2
     ("exception-over-powerset", True),
@@ -241,7 +262,18 @@ def test_json_goes_to_stdout_summary_to_stderr():
     # a second declaration of a cell name
     MIXED.rstrip().removesuffix(")")
     + "  (cell counit-l-L\n    (src @ L)\n    (tgt @ L)))\n",
-], ids=["unknown-arrow", "truncated", "trailing-content", "version", "duplicate-cell"])
+    # a cell over a symbol the alphabet does not declare
+    "(signature (version 1) (alphabet T P) (arrow m (T T) (T))\n"
+    "  (cell c (src [T Q . m . epsilon]) (tgt [T Q . m . epsilon])))\n",
+    # an arrow over a symbol the alphabet does not declare
+    "(signature (version 1) (alphabet T P) (arrow k (X) (T)))\n",
+    # an axiom that whiskers by a symbol the alphabet does not declare
+    "(signature (version 1) (alphabet T P) (arrow m (T T) (T))\n"
+    "  (cell c (src [epsilon . m . epsilon]) (tgt [epsilon . m . epsilon]))\n"
+    "  (axiom A (whisker Q (cell c) epsilon) (whisker Q (cell c) epsilon)))\n",
+], ids=["unknown-arrow", "truncated", "trailing-content", "version", "duplicate-cell",
+        "symbol-outside-alphabet-in-cell", "symbol-outside-alphabet-in-arrow",
+        "symbol-outside-alphabet-in-axiom"])
 def test_malformed_signature_exit_two(tmp_path, capsys, text):
     path = tmp_path / "bad.sexp"
     path.write_text(text)
@@ -249,6 +281,44 @@ def test_malformed_signature_exit_two(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert code == 2
     assert "error: cannot load signature" in err and "Traceback" not in err
+
+
+_DEEP_SIGNATURE = """\
+(signature
+  (version 1)
+  (alphabet T P)
+  (arrow u (epsilon) (T))
+  (arrow m (T T) (T))
+  (cell deep
+    (src [T T T T T T T . u . epsilon] ; [T T T T T T . m . epsilon])
+    (tgt @ T T T T T T T))
+  (axiom D
+    (cell deep)
+    (cell deep))
+)
+"""
+
+
+def test_cell_deeper_than_the_depth_bound_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "deep.sexp"
+    path.write_text(_DEEP_SIGNATURE)
+    code = run(["pasting-check", "--max-size", "1", "--signature", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: cell deep needs functor words of length 8, "
+                            "universe depth bound is 7\n")
+
+
+def test_other_value_errors_of_pasting_check_stay_internal(monkeypatch, capsys):
+    import decagon.pasting.evaluate as evaluate
+
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(evaluate, "check_axiom_degenerate", broken)
+    assert run(["pasting-check", "--axiom", "D2", "--max-size", "0"]) == 3
+    assert "ValueError: boom" in capsys.readouterr().err
 
 
 _NATURALITY_SIGNATURE = """\

@@ -431,6 +431,101 @@ def test_tabulated_lambda_law_skips_unavailable_components():
             assert v.checked + v.skipped == w.checked
 
 
+def _tabulated_t_law() -> DistLaw:
+    """exception-dist over a T recovered from its extension data, tabulated
+    on sizes <= 1."""
+    from decagon.distlaw import _BUILTIN_COMPONENTS
+    from decagon.monads import extensive_to_monoidal
+
+    P, exc = builtin_monads()["powerset"], builtin_monads()["exception"]
+    T = extensive_to_monoidal(monoidal_to_extensive(exc), exc.functor, U1)
+    return DistLaw("tabulated-T", T, P, _BUILTIN_COMPONENTS["exception-dist"](T, P))
+
+
+@pytest.mark.parametrize("make", [exception_over_powerset, writer_over_powerset,
+                                  _tabulated_t_law], ids=lambda f: f.__name__)
+def test_derived_families_are_the_composites_of_their_parts(make):
+    # each derived family's table is the composite of its parts' tables:
+    # alpha = Pm . lambdaT, lambda = alpha . TPu, the composite unit etaT . u
+    # and multiplication muT . PPm . PlambdaT, and the Kleisli unit is the
+    # composite unit; a component missing on one side is missing on the
+    # other.  An instance that needs a table over more than 1,000 elements
+    # is left out: the writer multiplication's source at |X| = 2 has 2^32.
+    from decagon.distlaw import extend_to_kleisli
+    from decagon.functors import apply_mor, size_within
+    from decagon.transforms import ComponentUnavailable
+
+    D = make()
+    T, P = D.T.functor, D.P.functor
+    u, m, eta, mu = D.T.unit, D.T.mult, D.P.unit, D.P.mult
+    alg = monoidal_to_algebra(D)
+    lam = algebra_to_monoidal(alg).lam
+    comp = compose_monads(alg)
+
+    class TooLarge(Exception):
+        pass
+
+    def mor(F, f):
+        if size_within(F, len(f.dom), 1000) > 1000:
+            raise TooLarge
+        return apply_mor(F, f)
+
+    def chain(*tables):
+        out = tables[-1]
+        for t in reversed(tables[:-1]):
+            out = compose(t, out)
+        return out
+
+    def unit_parts(X):
+        return chain(eta.component(apply_obj(T, X)), u.component(X))
+
+    cases = {
+        "alpha": (alg.alpha, alg.alpha.component, lambda X: chain(
+            mor(P, m.component(X)), D.lam.component(apply_obj(T, X)))),
+        "lambda": (lam, lam.component, lambda X: chain(
+            alg.alpha.component(X), mor(compose_functors(T, P), u.component(X)))),
+        "unit": (comp.unit, comp.unit.component, unit_parts),
+        "mult": (comp.mult, comp.mult.component, lambda X: chain(
+            mu.component(apply_obj(T, X)), mor(compose_functors(P, P), m.component(X)),
+            mor(P, lam.component(apply_obj(T, X))))),
+        "kleisli-unit": (comp.unit, extend_to_kleisli(alg).unit_at, unit_parts),
+    }
+    checked = {}
+    for name, (nt, table, parts) in cases.items():
+        checked[name] = []
+        for X in U2.objects:
+            try:
+                if size_within(nt.src, len(X), 1000) > 1000:
+                    raise TooLarge
+                want = parts(X)
+            except TooLarge:
+                continue
+            except ComponentUnavailable:
+                with pytest.raises(ComponentUnavailable):
+                    table(X)
+                continue
+            assert table(X) == want, (name, len(X))
+            checked[name].append(len(X))
+    sizes = [0, 1] if make is _tabulated_t_law else [0, 1, 2]  # T's tables stop at size 1
+    mult = [0, 1] if make is exception_over_powerset else [0]
+    assert checked == {**dict.fromkeys(cases, sizes), "mult": mult}
+    objects = U1.objects if make is _tabulated_t_law else None
+    for nt in (alg.alpha, lam, comp.unit, comp.mult):
+        assert (nt.needs_object, nt.tabulated_objects) == (objects is not None, objects), nt.name
+
+
+def test_derived_families_of_a_search_survivor_keep_its_objects():
+    from decagon.search import SearchSpec, enumerate_candidates
+
+    T, P = builtin_monads()["exception"], builtin_monads()["powerset"]
+    survivor = enumerate_candidates(SearchSpec(T, P, universe=U1)).survivors[0]
+    alg = monoidal_to_algebra(DistLaw("survivor", T, P, survivor))
+    comp = compose_monads(alg)
+    for nt in (alg.alpha, algebra_to_monoidal(alg).lam, comp.mult):
+        assert nt.needs_object and nt.tabulated_objects == survivor.tabulated_objects, nt.name
+    assert not comp.unit.needs_object and comp.unit.tabulated_objects is None
+
+
 # --- mixed laws --------------------------------------------------------------
 
 
@@ -438,13 +533,7 @@ def test_tabulated_t_law_gives_verdicts_with_skips():
     # T recovered from its extension data is tabulated on sizes <= 1; the
     # families built from its unit and multiplication take their object, so
     # a missing component is a skipped instance rather than a wrong lookup
-    from decagon.distlaw import _BUILTIN_COMPONENTS
-    from decagon.monads import extensive_to_monoidal
-
-    P, exc = builtin_monads()["powerset"], builtin_monads()["exception"]
-    T = extensive_to_monoidal(monoidal_to_extensive(exc), exc.functor, U1)
-    D = DistLaw("tabulated-T", T, P, _BUILTIN_COMPONENTS["exception-dist"](T, P))
-    alg = monoidal_to_algebra(D)
+    alg = monoidal_to_algebra(_tabulated_t_law())
     assert alg.alpha.needs_object and alg.alpha.tabulated_objects == U1.objects
 
     def rows(report):

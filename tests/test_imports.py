@@ -7,7 +7,11 @@ decagon module: a name that another module needs is public.  Only
 included, is sorted by ``FinSet``, and every other subset by ``Subset``.
 Only ``report.compare`` pauses and resumes the cycle collector.  Only
 ``elements`` names its intern tables and its order-key memo, so their
-layout is decided in one module.
+layout is decided in one module.  A transformation family is built only
+by ``formula``, ``tabulated`` or ``derived``, the only callers of
+``NatTrans``, and only ``transforms`` and ``functors`` use
+``compiled_action``: a family's linearity can then be read off how it was
+built.
 And every top-level function and class is referenced somewhere in the
 package outside its own definition, or wrapped by the benchmark's tracer.
 """
@@ -96,6 +100,30 @@ def test_only_elements_names_the_intern_tables():
     assert {n.rsplit(" ", 1)[1] for n in names(SRC / "elements.py")} == _ELEMENT_TABLES
     assert [n for path in sorted(SRC.rglob("*.py")) if path != SRC / "elements.py"
             for n in names(path)] == []
+
+
+def _calls(name: str):
+    """Every call of ``name`` under ``src/decagon``, as (module, enclosing
+    top-level definition)."""
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _name(node.func) == name:
+                    yield path.relative_to(SRC).as_posix(), getattr(top, "name", None)
+
+
+def test_only_the_three_constructors_build_a_family():
+    callers = set(_calls("NatTrans"))
+    assert callers  # the check sees the constructors
+    assert callers <= {("transforms.py", f) for f in ("formula", "tabulated", "derived")}
+
+
+def test_only_transforms_and_functors_use_compiled_action():
+    uses = [f"{path.relative_to(SRC)}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if _name(node) == "compiled_action"]
+    assert any(u.startswith("transforms.py:") for u in uses)  # the check sees the uses
+    assert [u for u in uses if u.split(":")[0] not in ("transforms.py", "functors.py")] == []
 
 
 def _traced_functions() -> set[str]:
