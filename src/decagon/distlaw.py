@@ -43,7 +43,7 @@ from .monads import (
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
 from .report import LawReport, TestUniverse, compare, instances, quantify
-from .transforms import NatTrans, Step, derived, extension, formula, tabulated
+from .transforms import NatTrans, Step, derived, extension, per_member, tabulated
 
 
 @dataclass
@@ -302,21 +302,19 @@ def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None
 
 
 def _exception_dist(e: Element) -> Element:
-    """lambda(inl S) = image of S under inl; lambda(inr e) = {inr e}."""
-    if type(e) is Inl:
-        return Subset(map(Inl, e.value._members))
-    return Subset((e,))
+    """Per member: lambda(inl {a}) = {inl a}; lambda(inr e) = {inr e}."""
+    return Subset((Inl(e.value._members[0]) if type(e) is Inl else e,))
 
 
 def _strength(e: Element) -> Element:
-    """(m, S) goes to the set of pairs (m, x) for x in S."""
-    return Subset([Pair(e.fst, x) for x in e.snd._members])
+    """Per member: (m, {x}) goes to {(m, x)}."""
+    return Subset((Pair(e.fst, e.snd._members[0]),))
 
 
 def _component(fn: Callable[[Element], Element], name: str):
-    """Builder of the formula family fn: TP -> PT for a given monad pair."""
-    return lambda T, P: formula(compose_functors(T.functor, P.functor),
-                                compose_functors(P.functor, T.functor), fn, name=name)
+    """Maps a monad pair to its family TP -> PT, per member of the P."""
+    return lambda T, P: per_member(compose_functors(T.functor, P.functor),
+                                   compose_functors(P.functor, T.functor), fn, name=name)
 
 
 _BUILTIN_COMPONENTS = {
@@ -349,7 +347,7 @@ def coreader_over_powerset() -> MixedLaw:
 
 def _validate_component(lam: NatTrans, name: str) -> None:
     """Smoke-materialise the component on tiny carriers so that a builtin
-    formula paired with structurally wrong monads is a config error."""
+    component paired with structurally wrong monads is a config error."""
     from .elements import atoms
 
     for X in (atoms(), atoms("a")):

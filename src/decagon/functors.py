@@ -31,6 +31,7 @@ from .elements import (
     Pair,
     Subset,
 )
+from .report import DEFAULT_CARRIER_CAP, Refused
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,38 @@ def _action(F: FunctorExpr, leaf: Callable[[Element], Element]) -> Callable[[Ele
     return _Memo(step).__getitem__
 
 
+class OversizeCarrier(Refused):
+    """A composite evaluation would need a carrier above the configured cap."""
+
+
+def source_carrier(F: FunctorExpr, X: FinSet, cap: int) -> FinSet:
+    """F(X), or ``OversizeCarrier`` when it would exceed ``cap``."""
+    if size_within(F, len(X), cap) > cap:
+        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
+    return apply_obj(F, X)
+
+
+# (F, X) -> F(X) for the carriers that passed the check of ``capped_carrier``;
+# the same objects _OBJ_CACHE holds, so it costs dict slots only
+_CAPPED: dict[tuple[FunctorExpr, FinSet], FinSet] = {}
+
+
+def capped_carrier(F: FunctorExpr, X: FinSet) -> FinSet:
+    """``source_carrier`` at ``DEFAULT_CARRIER_CAP``, for the tables of the
+    library API; a carrier that passed the check once is looked up, so a
+    hit costs what ``apply_obj``'s does."""
+    out = _CAPPED.get((F, X))
+    if out is None:
+        out = _CAPPED[F, X] = source_carrier(F, X, DEFAULT_CARRIER_CAP)
+    return out
+
+
 def apply_mor(F: FunctorExpr, f: FinFn) -> FinFn:
-    """Full table of F(f); boundaries are F applied to f's boundaries."""
-    dom = apply_obj(F, f.dom)
-    cod = apply_obj(F, f.cod)
+    """Full table of F(f); boundaries are F applied to f's boundaries, and
+    ``OversizeCarrier`` is raised before either is built when one would
+    exceed ``DEFAULT_CARRIER_CAP``."""
+    dom = capped_carrier(F, f.dom)
+    cod = capped_carrier(F, f.cod)
     act = compiled_action(F, f)
     return FinFn._raw(dom, cod, {e: act(e) for e in dom.elements})
 
@@ -262,3 +291,22 @@ def compose_functors(*fs: FunctorExpr) -> FunctorExpr:
             continue
         acc = F if acc is None else Comp(F, acc)
     return acc if acc is not None else Id()
+
+
+def factors(F: FunctorExpr) -> list[FunctorExpr]:
+    """F's factors that are not composites, outermost first; Id has none."""
+    if isinstance(F, Comp):
+        return factors(F.outer) + factors(F.inner)
+    return [] if isinstance(F, Id) else [F]
+
+
+def marked_power(F: FunctorExpr) -> int | None:
+    """The position among F's factors of its first ``Power`` when every
+    factor before it is a one-position context (X + C, C + X, C x X or
+    X x C), so that an element holds at most one subset there; else None."""
+    for i, G in enumerate(factors(F)):
+        if isinstance(G, Power):
+            return i
+        if not (isinstance(G, (Sum, Prod)) and {type(G.left), type(G.right)} == {Id, Const}):
+            return None
+    return None

@@ -49,6 +49,7 @@ from .transforms import (
     extension,
     formula,
     identity_nat,
+    per_member,
     tabulated,
 )
 
@@ -352,16 +353,13 @@ def reader_monad(labels: Iterable[str]) -> MonadMonoidal:
 
 
 def powerset_monad() -> MonadMonoidal:
+    """The union of a set of sets is the union, over its members {S}, of S."""
     T = Power()
-
-    def m_fn(e: Element) -> Element:
-        return Subset([m for s in e._members for m in s._members])
-
     return MonadMonoidal(
         "powerset",
         T,
         formula(Id(), T, lambda e: Subset((e,)), name="u"),
-        formula(compose_functors(T, T), T, m_fn, name="m"),
+        per_member(compose_functors(T, T), T, lambda e: e._members[0], name="m"),
     )
 
 

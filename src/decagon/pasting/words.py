@@ -10,6 +10,7 @@ empty path at a word is representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,12 @@ class ArrowAtom:
     gen: ArrowGen
     suffix: Word
 
-    @property
+    # built on first use and kept: equality and hashing read the fields only
+    @cached_property
     def src(self) -> Word:
         return self.prefix + self.gen.src + self.suffix
 
-    @property
+    @cached_property
     def tgt(self) -> Word:
         return self.prefix + self.gen.tgt + self.suffix
 

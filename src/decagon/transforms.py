@@ -10,8 +10,16 @@ small universe; they transport along the canonical order-preserving
 bijection to same-size objects and raise ``ComponentUnavailable`` beyond
 that, a ``report.Refused`` that exhaustive checkers count as a skipped
 instance.  A ``derived`` family is a path of whiskered ``Step``s, run by
-``compiled_path`` like every composite the checkers evaluate; no family is
-built any other way than by ``formula``, ``tabulated`` or ``derived``.
+``compiled_path`` like every composite the checkers evaluate.  A
+``per_member`` family is a union over the members of one marked subset of
+its input; no family is built any other way than by these four.
+
+A family's ``linear`` position says that it preserves unions in the
+subset at that factor of its source, into the subset at the head of its
+target, so that it is fixed by its values on the empty set and the
+singletons there.  It comes only from construction: ``per_member`` sets
+it, and ``derived`` reads it off its steps with ``carry_mark``.  A
+``formula`` or ``tabulated`` family has none.
 """
 
 from __future__ import annotations
@@ -19,15 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .elements import Element, FinFn, FinSet
+from .elements import Element, FinFn, FinSet, Inl, Inr, Pair, Subset
 from .functors import (
     FunctorExpr,
     Id,
+    OversizeCarrier,
+    Prod,
     apply_mor,
     apply_obj,
+    capped_carrier,
     compiled_action,
     compose_functors,
+    factors,
+    marked_power,
     size_within,
+    source_carrier,
 )
 from .report import Refused
 
@@ -48,11 +62,13 @@ class NatTrans:
     name: str = ""
     needs_object: bool = False
     tabulated_objects: Optional[list[FinSet]] = None
+    linear: Optional[int] = None
 
     def component(self, X: FinSet) -> FinFn:
-        """Materialised component table at X."""
-        dom = apply_obj(self.src, X)
-        cod = apply_obj(self.tgt, X)
+        """Materialised component table at X; ``OversizeCarrier`` before
+        anything is built when a boundary exceeds ``DEFAULT_CARRIER_CAP``."""
+        dom = capped_carrier(self.src, X)
+        cod = capped_carrier(self.tgt, X)
         fn = self.rule(X)
         return FinFn._raw(dom, cod, {e: fn(e) for e in dom.elements})
 
@@ -118,17 +134,6 @@ def step_source(s: Step) -> FunctorExpr:
     return compose_functors(s.prefix, s.nt.src, s.suffix)
 
 
-class OversizeCarrier(Refused):
-    """A composite evaluation would need a carrier above the configured cap."""
-
-
-def source_carrier(F: FunctorExpr, X: FinSet, cap: int) -> FinSet:
-    """F(X), or ``OversizeCarrier`` when it would exceed ``cap``."""
-    if size_within(F, len(X), cap) > cap:
-        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
-    return apply_obj(F, X)
-
-
 def _step_object(s: Step, X: FinSet, cap: Optional[int]) -> FinSet:
     """X, or s's suffix at X if s's family needs its object; ``cap`` None
     applies no cap."""
@@ -161,13 +166,90 @@ def compiled_path(steps: Sequence[Step], X: FinSet, cap: Optional[int]) -> Calla
     return run
 
 
+def carry_mark(steps: Sequence[Step], mark: int) -> Optional[int]:
+    """The factor the marked subset at factor ``mark`` of the steps' source
+    sits at after them, or None when a step may not preserve its unions.
+
+    A step whose prefix covers the mark acts under it by a direct image,
+    which preserves unions whatever its family.  A step that reaches the
+    mark must be a family linear at it, which moves the mark to the head of
+    its target, the end of the step's prefix.  Any other step, one that
+    acts in front of the mark or reaches it with no ``linear`` there, fails.
+    """
+    for s in steps:
+        at = len(factors(s.prefix))
+        if mark < at:
+            continue
+        if s.nt.linear is None or mark != at + s.nt.linear:
+            return None
+        mark = at
+    return mark
+
+
+def per_member(src: FunctorExpr, tgt: FunctorExpr, rule: Callable[[Element], Element],
+               name: str = "") -> NatTrans:
+    """Family whose value at an element is the union, over the members a
+    of the subset at its marked factor (``functors.marked_power``, at most
+    one factor deep), of ``rule`` at the element with {a} in that subset's
+    place; an element with no subset there (inr e) goes to ``rule`` as it
+    is.  ``rule`` returns a subset.  The family preserves unions in the
+    marked subset by construction, so this is the one constructor that
+    sets ``linear``.  Each member's share is computed once per component,
+    as ``compiled_action``'s memos keep theirs."""
+    at = marked_power(src)
+    if at is None or at > 1 or marked_power(tgt) != 0:
+        raise ValueError(f"{name or 'family'}: {src!r} -> {tgt!r} has no marked subset "
+                         "to take members of")
+    open_, put = _hole(factors(src)[0] if at else None)
+
+    def rule_at(X: FinSet) -> Callable[[Element], Element]:
+        shares: dict = {}  # context -> member -> the members of its share
+
+        def fn(e: Element) -> Element:
+            hole = open_(e)
+            if hole is None:
+                return rule(e)
+            S, c = hole
+            row = shares.get(c)
+            if row is None:
+                row = shares[c] = {}
+            out = []
+            for a in S._members:
+                share = row.get(a)
+                if share is None:
+                    share = row[a] = rule(put(c, Subset((a,))))._members
+                out += share
+            return Subset(out)
+
+        return fn
+
+    return NatTrans(src, tgt, rule_at, name=name, linear=at)
+
+
+def _hole(F: Optional[FunctorExpr]):
+    """For the one-position factor F in front of a marked subset, or None
+    for none: the map from an element to its subset there and the context
+    around it (None when it holds none), and the map putting a subset back
+    into a context."""
+    if F is None:
+        return (lambda e: (e, None)), (lambda c, v: v)
+    if isinstance(F, Prod):
+        if isinstance(F.right, Id):
+            return (lambda e: (e.snd, e.fst)), Pair
+        return (lambda e: (e.fst, e.snd)), (lambda c, v: Pair(v, c))
+    tag = Inl if isinstance(F.left, Id) else Inr
+    return (lambda e: (e.value, None) if type(e) is tag else None), (lambda c, v: tag(v))
+
+
 def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatTrans:
     """Family whose component at X is the path ``steps`` from src to tgt,
-    uncapped; it needs its object when a step's family does, and is
-    tabulated where they are.  An unwhiskered first step runs its bare
+    uncapped; it needs its object when a step's family does, is tabulated
+    where they are, and is linear at src's marked factor when ``carry_mark``
+    takes that to the head of tgt.  An unwhiskered first step runs its bare
     rule: every caller of a rule memoises or de-duplicates its inputs, or
     (``extension``) calls it bare, so a leaf memo would only copy them."""
     families = [s.nt for s in steps]
+    at = marked_power(src)
     objects = [X for nt in families for X in nt.tabulated_objects or ()]
     head, tail = (steps[0], steps[1:]) if isinstance(steps[0].prefix, Id) else (None, steps)
 
@@ -179,7 +261,8 @@ def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatT
         return lambda e: path(bare(e))
 
     return NatTrans(src, tgt, rule, name=name, needs_object=any(nt.needs_object for nt in families),
-                    tabulated_objects=list(dict.fromkeys(objects)) or None)
+                    tabulated_objects=list(dict.fromkeys(objects)) or None,
+                    linear=at if at is not None and carry_mark(steps, at) == 0 else None)
 
 
 def composite_map(

@@ -99,6 +99,17 @@ def test_registry_with_mismatched_component_exit_two(tmp_path):
     assert run(["check-law", "--law", "bad", "--registry", str(registry)]) == 2
 
 
+def test_registry_lambda_without_a_powerset_to_distribute_exit_two(tmp_path, capsys):
+    # exception-dist over reader: no powerset behind a one-position context
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({
+        "laws": [{"law": "bad", "T": {"name": "reader", "R": ["r"]}, "P": {"name": "powerset"},
+                  "lambda": "builtin:exception-dist"}]
+    }))
+    assert run(["check-law", "--law", "bad", "--registry", str(registry)]) == 2
+    assert "has no marked subset" in capsys.readouterr().err
+
+
 def test_registry_with_bad_monoid_exit_two(tmp_path):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({

@@ -670,3 +670,21 @@ def test_extensive_to_monoidal_checks_object_action():
     ext = monoidal_to_extensive(exception_monad(["e"]))
     with pytest.raises(ConversionError):
         extensive_to_monoidal(ext, Power(), U1)
+
+
+def test_library_tables_refuse_oversize_carriers_before_building_them():
+    # the writer composite's multiplication at |X| = 2 would need PTPT(2),
+    # 2^32 elements, and P applied twice to m's table P(P(8)), 2^256
+    import time
+
+    from decagon.functors import Power, apply_mor
+    from decagon.transforms import OversizeCarrier
+
+    D = writer_over_powerset()
+    X = atoms("a", "b")
+    start = time.perf_counter()
+    with pytest.raises(OversizeCarrier):
+        compose_monads(monoidal_to_algebra(D)).mult.component(X)
+    with pytest.raises(OversizeCarrier):
+        apply_mor(compose_functors(Power(), Power()), D.T.mult.component(X))
+    assert time.perf_counter() - start < 1.0

@@ -8,10 +8,12 @@ included, is sorted by ``FinSet``, and every other subset by ``Subset``.
 Only ``report.compare`` pauses and resumes the cycle collector.  Only
 ``elements`` names its intern tables and its order-key memo, so their
 layout is decided in one module.  A transformation family is built only
-by ``formula``, ``tabulated`` or ``derived``, the only callers of
-``NatTrans``, and only ``transforms`` and ``functors`` use
+by ``formula``, ``tabulated``, ``derived`` or ``per_member``, the only
+callers of ``NatTrans``, and only ``transforms`` and ``functors`` use
 ``compiled_action``: a family's linearity can then be read off how it was
-built.
+built.  Only ``per_member`` gives a family its ``linear`` position and
+only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
+join generators a cell is checked on.
 And every top-level function and class is referenced somewhere in the
 package outside its own definition, or wrapped by the benchmark's tracer.
 """
@@ -112,10 +114,30 @@ def _calls(name: str):
                     yield path.relative_to(SRC).as_posix(), getattr(top, "name", None)
 
 
-def test_only_the_three_constructors_build_a_family():
+def test_only_the_four_constructors_build_a_family():
     callers = set(_calls("NatTrans"))
     assert callers  # the check sees the constructors
-    assert callers <= {("transforms.py", f) for f in ("formula", "tabulated", "derived")}
+    assert callers <= {("transforms.py", f)
+                       for f in ("formula", "tabulated", "derived", "per_member")}
+
+
+def test_only_per_member_and_derived_set_linearity():
+    # a ``linear`` keyword or an assignment to ``.linear``, anywhere
+    places = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.keyword) and node.arg == "linear"
+                        or isinstance(node, ast.Attribute) and node.attr == "linear"
+                        and isinstance(node.ctx, ast.Store)):
+                    places.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None)))
+    assert places == {("transforms.py", "per_member"), ("transforms.py", "derived")}
+    assert set(_calls("carry_mark")) == {("transforms.py", "derived"),
+                                         ("pasting/evaluate.py", "generator_mark")}
+
+
+def test_only_the_cell_evaluator_builds_join_generators():
+    assert set(_calls("join_generators")) == {("pasting/evaluate.py", "_Side")}
 
 
 def test_only_transforms_and_functors_use_compiled_action():

@@ -542,3 +542,181 @@ def test_hoisted_cell_catches_a_failure_after_its_generic_step():
     w = v.witness
     assert (w.at, w.element, w.lhs, w.rhs) == (
         "|X|=0,Y=1,Z=0", "inl({inl(a)})", "{inl(inl({inr(e)}))}", "{inl(inl({inr(e)})),inr(e)}")
+
+
+# --- union-preserving cells on their join generators ---------------------------
+
+# the cells whose two paths preserve unions in the subset at the head of
+# their source, and in the subset behind a leading T, under each registered
+# lambda law
+HEAD_P_CELLS = {"unit-r-P", "assoc-P", "xc-mu-e-lambda", "xc-mu-e-m", "xc-mu-e-u", "xc-mu-P-m",
+                "xc-mu-e-alpha", "xc-mu-T-h"}
+T_P_CELLS = {"H", "Omega", "Psi", "mu-diagram", "omega4", "xc-alpha-P-alpha", "xc-alpha-PT-h",
+             "xc-alpha-e-eta", "xc-alpha-e-g", "xc-alpha-e-h", "xc-alpha-e-mu", "xc-lambda-P-m",
+             "xc-lambda-P-u", "xc-lambda-T-g", "xc-lambda-T-mu", "xc-lambda-TP-lambda",
+             "xc-lambda-TPP-m", "xc-lambda-e-eta", "xc-lambda-e-lambda", "xc-lambda-e-m",
+             "xc-lambda-e-mu", "xc-lambda-e-u"}
+
+
+def _marks(cells, interp):
+    from decagon.pasting.evaluate import generator_mark
+
+    return {name: mark for name, cell in cells.items()
+            if (mark := generator_mark(cell, interp)) is not None}
+
+
+def _per_member_law(name, share):
+    from decagon.distlaw import DistLaw
+    from decagon.transforms import per_member
+
+    good = exception_over_powerset()
+    return DistLaw(name, good.T, good.P, per_member(good.lam.src, good.lam.tgt, share, name))
+
+
+def _adds_error(e):
+    """Per member: inl {a} goes to {inl a, inr e}."""
+    from decagon.elements import Atom, Inl, Inr, Subset
+
+    if type(e) is Inl:
+        return Subset((Inl(e.value.members[0]), Inr(Atom("e"))))
+    return Subset((e,))
+
+
+def _one_member_subsets_to_error(e):
+    """Per member: inl {a} goes to {inr e} when a, or the value a injects,
+    is a one-member subset, and to {inl a} otherwise."""
+    from decagon.elements import Atom, Inl, Inr, Subset
+
+    if type(e) is not Inl:
+        return Subset((e,))
+    a = e.value.members[0]
+    inner = a.value if type(a) is Inl else a
+    if type(inner) is Subset and len(inner.members) == 1:
+        return Subset((Inr(Atom("e")),))
+    return Subset((Inl(a),))
+
+
+# the cells check_monad_monoidal evaluates under a monad's interpretation
+MONAD_CELLS = {n: SIG.cells[n] for n in ("unit-l-T", "unit-r-T", "assoc-T")}
+
+
+def _monad_interpretation(M):
+    from decagon.pasting import Interpretation
+
+    return Interpretation(M.name, {"T": M.functor}, {"u": M.unit, "m": M.mult})
+
+
+def test_the_pass_accepts_the_union_preserving_cells_of_each_registered_law():
+    from decagon.distlaw import (_mixed_interpretation, builtin_laws, compose_monads,
+                                 monoidal_to_algebra)
+    from decagon.monads import builtin_monads
+
+    laws = builtin_laws()
+    want = {**dict.fromkeys(HEAD_P_CELLS, 0), **dict.fromkeys(T_P_CELLS, 1)}
+    for name in ("exception-over-powerset", "writer-over-powerset"):
+        assert _marks(SIG.cells, law_interpretation(laws[name])) == want, name
+        # the composite monad's head P is read off its functor, not its letter
+        composite = compose_monads(monoidal_to_algebra(laws[name]))
+        assert _marks(MONAD_CELLS, _monad_interpretation(composite)) == {"unit-r-T": 0,
+                                                                       "assoc-T": 0}
+    assert _marks(MONAD_CELLS, _monad_interpretation(builtin_monads()["powerset"])) == {
+        "unit-r-T": 0, "assoc-T": 0}
+    assert _marks(mixed_signature().cells,
+                  _mixed_interpretation(laws["coreader-over-powerset"])) == {"mu-pentagon": 1}
+    assert _marks(SIG.cells, identity_interpretation()) == {}
+
+
+def _survivor_law():
+    from decagon.distlaw import DistLaw
+    from decagon.monads import builtin_monads
+    from decagon.search import SearchSpec, enumerate_candidates
+
+    T, P = builtin_monads()["exception"], builtin_monads()["powerset"]
+    return DistLaw("survivor", T, P, enumerate_candidates(SearchSpec(T, P, universe=U1)).survivors[0])
+
+
+@pytest.mark.parametrize("make", [lambda: _broken_law("empty-set", _empty_set_lambda),
+                                  _survivor_law], ids=["formula", "tabulated"])
+def test_formula_and_tabulated_lambdas_carry_no_mark(make):
+    # such a lambda, and the alpha derived from it, may still act under the
+    # head P, as a direct image, but no cell that needs it to carry a mark
+    # is reduced
+    assert _marks(SIG.cells, law_interpretation(make())) == dict.fromkeys(HEAD_P_CELLS, 0)
+
+
+def test_join_generators_are_the_empty_set_and_the_singletons():
+    from decagon.elements import atoms
+    from decagon.functors import apply_obj, size_within
+    from decagon.pasting.evaluate import join_generators
+    from decagon.transforms import OversizeCarrier
+
+    interp = law_interpretation(exception_over_powerset())
+    marks = _marks(SIG.cells, interp)
+    X = atoms("a", "b")
+    for name, count in (("xc-alpha-e-mu", 19), ("assoc-P", 17)):
+        F = interp.word_functor(SIG.cells[name].src.start, {})
+        gens = join_generators(F, marks[name], X, 200_000)
+        assert len(gens) == count and set(gens) <= set(apply_obj(F, X))
+        # the cap is decided on the whole carrier, which is never built
+        full = size_within(F, 2, 200_000)
+        with pytest.raises(OversizeCarrier):
+            join_generators(F, marks[name], X, full - 1)
+
+
+def _comparison_cases():
+    """(cells, interpretation, carrier cap): the cap keeps the
+    reference's carriers over 2^16 out for the registered laws, and over
+    2^14 for writer, whose xc-mu-T-h has 256 instances of 2^16 elements at
+    size 2, and for the mutants, whose carriers of 2^16 are in cells
+    without lambda."""
+    from decagon.distlaw import (_mixed_interpretation, builtin_laws, compose_monads,
+                                 monoidal_to_algebra, writer_over_powerset)
+
+    laws = builtin_laws()
+    cases = [(SIG.cells, law_interpretation(exception_over_powerset()), 70_000),
+             (SIG.cells, law_interpretation(writer_over_powerset()), 20_000),
+             (SIG.cells, law_interpretation(_per_member_law("adds-error", _adds_error)), 20_000),
+             (SIG.cells, law_interpretation(_per_member_law("one-member-to-error",
+                                                            _one_member_subsets_to_error)), 20_000),
+             (mixed_signature().cells, _mixed_interpretation(laws["coreader-over-powerset"]),
+              70_000)]
+    for name in ("exception-over-powerset", "writer-over-powerset"):
+        composite = compose_monads(monoidal_to_algebra(laws[name]))
+        cases.append((MONAD_CELLS, _monad_interpretation(composite), 70_000))
+    return cases
+
+
+@pytest.mark.parametrize("cells,interp,cap", _comparison_cases(),
+                         ids=lambda x: getattr(x, "name", None))
+def test_join_generators_give_the_full_verdict(cells, interp, cap):
+    # every cell the pass reduces gives the verdict, counts and witness of
+    # the reference that runs every element of the whole source carrier, at
+    # sizes <= 2; instances over the cap are skipped on both sides
+    universe = TestUniverse.sizes(2)
+    universe.carrier_cap = cap
+    marks = _marks(cells, interp)
+    assert marks
+    caught = set()
+    for name in sorted(marks):
+        cell = cells[name]
+        got = evaluate_cell(cell, interp, universe)
+        assert _row(got) == _row(_per_instance_verdict(cell, interp, universe)), name
+        if got.witness is not None:
+            caught.add(name)
+    if interp.name == "adds-error":
+        assert caught == {"Omega", "Psi", "mu-diagram", "omega4"}
+    elif interp.name == "one-member-to-error":
+        assert {"Omega", "Psi", "mu-diagram", "omega4", "xc-alpha-e-mu"} <= caught
+    else:
+        assert caught == set()
+
+
+def test_join_generators_give_the_full_verdict_of_the_largest_cell():
+    # xc-alpha-e-mu at |X| = 2 has 19 generators for a carrier of 131,073;
+    # the mutant's first failing instance runs again in full for its witness
+    interp = law_interpretation(_per_member_law("one-member-to-error",
+                                                _one_member_subsets_to_error))
+    cell = SIG.cells["xc-alpha-e-mu"]
+    got = evaluate_cell(cell, interp, U2)
+    assert _row(got) == _row(_per_instance_verdict(cell, interp, U2))
+    assert (got.checked, got.witness.at) == (3, "|X|=0")
