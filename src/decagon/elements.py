@@ -167,8 +167,8 @@ class Subset(Element):
     @classmethod
     def _raw(cls, members: tuple) -> "Subset":
         """Internal constructor for a member tuple already distinct and in
-        intern order; skips the set and the sort.  Only ``apply_obj``
-        calls it."""
+        intern order; skips the set and the sort.  Only ``apply_obj``'s
+        builder calls it."""
         e = _KEY_CACHE.get(members)
         if e is None:
             e = _KEY_CACHE[members] = object.__new__(cls)
@@ -262,7 +262,8 @@ class FinSet:
     @classmethod
     def _raw(cls, elements: tuple) -> "FinSet":
         """Internal constructor for elements already distinct and in the
-        structural order; skips the sort.  Only ``apply_obj`` calls it."""
+        structural order; skips the sort.  Only ``apply_obj``'s builder
+        calls it."""
         s = cls.__new__(cls)
         s.elements, s._members, s._hash = elements, None, hash(elements)
         return s

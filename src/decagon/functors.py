@@ -13,6 +13,9 @@ its bound ``__getitem__`` is the action and a repeated element runs no
 Python frame.  Deeply iterated words (powersets of powersets) are only
 tractable pointwise, so every checker in this package is built on it, and
 the table-level ``apply_mor`` is one compiled action run over the domain.
+
+The one carrier builder is ``apply_obj``: it decides the carrier cap, and
+refuses a carrier over it before building anything.
 """
 
 from __future__ import annotations
@@ -91,32 +94,44 @@ class Comp:
 
 FunctorExpr = Union[Id, Const, Sum, Prod, Power, Exp, Comp]
 
-_OBJ_CACHE: dict[tuple[FunctorExpr, FinSet], FinSet] = {}
+
+class OversizeCarrier(Refused):
+    """A composite evaluation would need a carrier above the configured cap."""
 
 
-def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
-    """Carrier of F at X, fully materialised and canonically ordered.
+# (F, X, cap) -> F(X); the cap is part of the key, so a carrier built under
+# one cap is never handed out under a lower one
+_OBJ_CACHE: dict[tuple[FunctorExpr, FinSet, int], FinSet] = {}
 
-    Each constructor lists its elements in the structural order already,
-    given X in that order, so the carrier is built without order keys.
-    """
-    key = (F, X)
-    cached = _OBJ_CACHE.get(key)
-    if cached is not None:
-        return cached
+
+def apply_obj(F: FunctorExpr, X: FinSet, cap: int = DEFAULT_CARRIER_CAP) -> FinSet:
+    """Carrier of F at X, fully materialised and canonically ordered, or
+    ``OversizeCarrier`` before anything is built when it, or a carrier
+    built on the way, would exceed ``cap`` (``size_within``)."""
+    key = (F, X, cap)
+    out = _OBJ_CACHE.get(key)
+    if out is None:
+        if size_within(F, len(X), cap) > cap:
+            raise OversizeCarrier(f"carrier exceeds cap {cap}")
+        out = _OBJ_CACHE[key] = _carrier(F, X)
+    return out
+
+
+def _carrier(F: FunctorExpr, X: FinSet) -> FinSet:
+    """F(X), uncapped.  Each constructor lists its elements in the
+    structural order already, given X in that order, so the carrier is
+    built without order keys."""
     if isinstance(F, Id):
-        out = X
-    elif isinstance(F, Const):
-        out = F.value
-    elif isinstance(F, Sum):
-        L = apply_obj(F.left, X)
-        R = apply_obj(F.right, X)
-        out = FinSet._raw(tuple([Inl(e) for e in L] + [Inr(e) for e in R]))
-    elif isinstance(F, Prod):
-        L = apply_obj(F.left, X)
-        R = apply_obj(F.right, X)
-        out = FinSet._raw(tuple(Pair(a, b) for a in L for b in R))
-    elif isinstance(F, Power):
+        return X
+    if isinstance(F, Const):
+        return F.value
+    if isinstance(F, Sum):
+        L, R = _carrier(F.left, X), _carrier(F.right, X)
+        return FinSet._raw(tuple([Inl(e) for e in L] + [Inr(e) for e in R]))
+    if isinstance(F, Prod):
+        L, R = _carrier(F.left, X), _carrier(F.right, X)
+        return FinSet._raw(tuple(Pair(a, b) for a in L for b in R))
+    if isinstance(F, Power):
         # tuples[mask]: the members whose bits are set in mask, over X in
         # intern order (by id), lowest bit first, so already in intern order
         by_id = sorted(X.elements, key=id)
@@ -129,18 +144,15 @@ def apply_obj(F: FunctorExpr, X: FinSet) -> FinSet:
         for x in reversed(X.elements):
             b = bit[x]
             masks = [0] + [b | m for m in masks] + masks[1:]
-        out = FinSet._raw(tuple([Subset._raw(tuples[m]) for m in masks]))
-    elif isinstance(F, Exp):
+        return FinSet._raw(tuple([Subset._raw(tuples[m]) for m in masks]))
+    if isinstance(F, Exp):
         rs = F.exponent.elements
-        out = FinSet._raw(tuple(
+        return FinSet._raw(tuple(
             FnTable(tuple(zip(rs, values))) for values in product(X.elements, repeat=len(rs))
         ))
-    elif isinstance(F, Comp):
-        out = apply_obj(F.outer, apply_obj(F.inner, X))
-    else:
-        raise TypeError(f"not a FunctorExpr: {F!r}")
-    _OBJ_CACHE[key] = out
-    return out
+    if isinstance(F, Comp):
+        return _carrier(F.outer, _carrier(F.inner, X))
+    raise TypeError(f"not a FunctorExpr: {F!r}")
 
 
 def apply_elem(F: FunctorExpr, fn: Callable[[Element], Element], e: Element) -> Element:
@@ -198,38 +210,12 @@ def _action(F: FunctorExpr, leaf: Callable[[Element], Element]) -> Callable[[Ele
     return _Memo(step).__getitem__
 
 
-class OversizeCarrier(Refused):
-    """A composite evaluation would need a carrier above the configured cap."""
-
-
-def source_carrier(F: FunctorExpr, X: FinSet, cap: int) -> FinSet:
-    """F(X), or ``OversizeCarrier`` when it would exceed ``cap``."""
-    if size_within(F, len(X), cap) > cap:
-        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
-    return apply_obj(F, X)
-
-
-# (F, X) -> F(X) for the carriers that passed the check of ``capped_carrier``;
-# the same objects _OBJ_CACHE holds, so it costs dict slots only
-_CAPPED: dict[tuple[FunctorExpr, FinSet], FinSet] = {}
-
-
-def capped_carrier(F: FunctorExpr, X: FinSet) -> FinSet:
-    """``source_carrier`` at ``DEFAULT_CARRIER_CAP``, for the tables of the
-    library API; a carrier that passed the check once is looked up, so a
-    hit costs what ``apply_obj``'s does."""
-    out = _CAPPED.get((F, X))
-    if out is None:
-        out = _CAPPED[F, X] = source_carrier(F, X, DEFAULT_CARRIER_CAP)
-    return out
-
-
 def apply_mor(F: FunctorExpr, f: FinFn) -> FinFn:
     """Full table of F(f); boundaries are F applied to f's boundaries, and
     ``OversizeCarrier`` is raised before either is built when one would
     exceed ``DEFAULT_CARRIER_CAP``."""
-    dom = capped_carrier(F, f.dom)
-    cod = capped_carrier(F, f.cod)
+    dom = apply_obj(F, f.dom)
+    cod = apply_obj(F, f.cod)
     act = compiled_action(F, f)
     return FinFn._raw(dom, cod, {e: act(e) for e in dom.elements})
 

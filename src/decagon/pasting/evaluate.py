@@ -11,13 +11,12 @@ the test universe, which is where the hom-set quantification of the
 operator-form axioms lives.
 
 Axioms paste the same few cells again and again, so ``evaluate_cell``
-keeps each verdict on the universe, keyed by the interpretation (by
-identity, weakly, so that the verdicts go when it does), the cell, the
-carrier cap and the object list; the memo holds verdicts only, never
-elements.  Within one cell, the source carrier is pushed through the
-generic-free prefix of each path once per object assignment, before the
-loop over the generic arrows' functions; only the steps from the first
-generic arrow on run once per instance.
+keeps each verdict on the interpretation, keyed by the cell, the carrier
+cap and the object list, so that the verdicts go when it does; the memo
+holds verdicts only, never elements.  Within one cell, the source carrier
+is pushed through the generic-free prefix of each path once per object
+assignment, before the loop over the generic arrows' functions; only the
+steps from the first generic arrow on run once per instance.
 
 ``P A`` is the free join-semilattice on ``A``: a map out of it that
 preserves unions is fixed by its values on the empty set and the
@@ -37,7 +36,7 @@ from typing import Optional
 
 from ..elements import FinFn, FinSet, Subset
 from ..functors import (Const, FunctorExpr, Id, OversizeCarrier, apply_obj, compose_functors,
-                        factors, marked_power, size_within, source_carrier)
+                        factors, marked_power, size_within)
 from ..report import AxiomVerdict, LawReport, TestUniverse, compare, instances, quantify
 from ..transforms import (NatTrans, Step, carry_mark, compiled_path, compiled_step, formula,
                           identity_nat)
@@ -67,6 +66,8 @@ class Interpretation:
     arrows: dict[str, NatTrans]
     # cell -> its generator_mark under this interpretation
     _marks: dict = field(default_factory=dict, init=False, repr=False)
+    # (cell, carrier cap, objects) -> its verdict; see evaluate_cell
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def word_functor(self, w: Word, objects: dict[str, FinSet]) -> FunctorExpr:
         return compose_functors(*(self.functors[s] if s in self.functors else Const(objects[s])
@@ -137,14 +138,14 @@ def generator_mark(cell: CellGen, interp: Interpretation) -> Optional[int]:
 def join_generators(F: FunctorExpr, mark: int, X: FinSet, cap: int) -> FinSet:
     """The empty set and the singletons at factor ``mark`` of F(X), under
     the one-position factors in front of it: a subset of F(X), by interning,
-    that generates it under unions there.  Refused like ``source_carrier``
-    when F(X) exceeds ``cap``, but F(X) itself is never built."""
+    that generates it under unions there.  Refused like ``apply_obj(F, X,
+    cap)`` when F(X) exceeds ``cap``, but F(X) itself is never built."""
     if size_within(F, len(X), cap) > cap:
-        raise OversizeCarrier(f"source carrier exceeds cap {cap}")
+        raise OversizeCarrier(f"carrier exceeds cap {cap}")
     fs = factors(F)
-    members = apply_obj(compose_functors(*fs[mark + 1:]), X)
+    members = apply_obj(compose_functors(*fs[mark + 1:]), X, cap)
     return apply_obj(compose_functors(*fs[:mark]),
-                     FinSet([Subset(())] + [Subset((a,)) for a in members]))
+                     FinSet([Subset(())] + [Subset((a,)) for a in members]), cap)
 
 
 class _Side:
@@ -161,7 +162,7 @@ class _Side:
                  X: FinSet, cap: int, mark: Optional[int]):
         self.interp, self.path, self.objects, self.X, self.cap = interp, path, objects, X, cap
         F = interp.word_functor(path.start, objects)
-        self.dom = (source_carrier(F, X, cap) if mark is None
+        self.dom = (apply_obj(F, X, cap) if mark is None
                     else join_generators(F, mark, X, cap)).elements
         atoms = path.atoms
         prefix = next((i for i, a in enumerate(atoms) if a.gen.name not in interp.arrows),
@@ -196,13 +197,13 @@ def evaluate_cell(
     of its declared boundary words.
 
     The verdict is computed once per cell, interpretation (by identity),
-    carrier cap and object list, and kept on the universe for as long as
-    the interpretation lives; every call returns a fresh copy.  The
-    depth-bound guard runs on every call.  Within one object assignment
-    the source carrier is pushed through the longest generic-free prefix
-    of each path once, before the loop over the generic arrows'
-    functions; if that part refuses (oversize carrier, missing component)
-    every instance of the assignment is skipped.  The steps from the first
+    carrier cap and object list, and kept on the interpretation; every
+    call returns a fresh copy.  The depth-bound guard runs on every call.
+    Within one object assignment the source carrier is pushed through the
+    longest generic-free prefix of each path once, before the loop over
+    the generic arrows' functions; if that part refuses (oversize carrier,
+    missing component) every instance of the assignment is skipped, and so
+    is the assignment when a generic arrow's boundary is over the cap.  The steps from the first
     generic arrow on are compiled per instance, so their memos never
     outlive it."""
     atoms = cell.src.atoms + cell.tgt.atoms
@@ -213,7 +214,7 @@ def evaluate_cell(
             f"cell {cell.name} needs functor words of length {depth}, "
             f"universe depth bound is {universe.depth_bound}"
         )
-    memo = universe._verdicts.setdefault(interp, {})
+    memo = interp._verdicts
     key = (cell, universe.carrier_cap, tuple(universe.objects))
     verdict = memo.get(key)
     if verdict is None:
@@ -233,7 +234,7 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
     rerun = False  # set once the first failing instance has run in full
 
     def ends(X: FinSet, objects: dict[str, FinSet]) -> list[tuple[FinSet, FinSet]]:
-        return [tuple(apply_obj(interp.word_functor(w, objects), X) for w in (g.src, g.tgt))
+        return [tuple(apply_obj(interp.word_functor(w, objects), X, cap) for w in (g.src, g.tgt))
                 for g in generics]
 
     def composites(sides: list[_Side], *fs: FinFn) -> tuple[dict, dict]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter_functions
 
@@ -33,9 +32,6 @@ class TestUniverse:
     depth_bound: int = 7
     carrier_cap: int = DEFAULT_CARRIER_CAP
     _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # interpretation -> {(cell, carrier cap, objects): verdict}; see evaluate_cell
-    _verdicts: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
-                                         repr=False, compare=False)
 
     @staticmethod
     def sizes(max_size: int = 2) -> "TestUniverse":
@@ -105,10 +101,15 @@ def quantify(
     objects in the order of ``symbols``.  ``arrows(*objects)`` lists the
     (domain, codomain) carriers of the quantified arrows in the order they
     vary, the first slowest; ``morphisms`` iterates over their tuples of
-    functions, or is None when a hom-set has more than ``HOM_CAP``.
+    functions, or is None when a hom-set has more than ``HOM_CAP`` or
+    ``arrows`` refuses (``Refused``), as for a carrier over the cap.
     """
     for objects in product(universe.objects, repeat=len(symbols)):
-        ends = arrows(*objects)
+        try:
+            ends = arrows(*objects)
+        except Refused:
+            yield objects, None
+            continue
         if any(len(cod) ** len(dom) > HOM_CAP for dom, cod in ends):
             yield objects, None
         else:

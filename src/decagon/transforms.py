@@ -35,15 +35,12 @@ from .functors import (
     Prod,
     apply_mor,
     apply_obj,
-    capped_carrier,
     compiled_action,
     compose_functors,
     factors,
     marked_power,
-    size_within,
-    source_carrier,
 )
-from .report import Refused
+from .report import DEFAULT_CARRIER_CAP, Refused
 
 ComponentRule = Callable[[FinSet], Callable[[Element], Element]]
 
@@ -67,8 +64,8 @@ class NatTrans:
     def component(self, X: FinSet) -> FinFn:
         """Materialised component table at X; ``OversizeCarrier`` before
         anything is built when a boundary exceeds ``DEFAULT_CARRIER_CAP``."""
-        dom = capped_carrier(self.src, X)
-        cod = capped_carrier(self.tgt, X)
+        dom = apply_obj(self.src, X)
+        cod = apply_obj(self.tgt, X)
         fn = self.rule(X)
         return FinFn._raw(dom, cod, {e: fn(e) for e in dom.elements})
 
@@ -134,17 +131,12 @@ def step_source(s: Step) -> FunctorExpr:
     return compose_functors(s.prefix, s.nt.src, s.suffix)
 
 
-def _step_object(s: Step, X: FinSet, cap: Optional[int]) -> FinSet:
-    """X, or s's suffix at X if s's family needs its object; ``cap`` None
-    applies no cap."""
-    if not s.nt.needs_object:
-        return X
-    if cap is not None and size_within(s.suffix, len(X), cap) > cap:
-        raise OversizeCarrier(f"inner object exceeds cap {cap}")
-    return apply_obj(s.suffix, X)
+def _step_object(s: Step, X: FinSet, cap: int) -> FinSet:
+    """X, or s's suffix at X if s's family needs its object."""
+    return apply_obj(s.suffix, X, cap) if s.nt.needs_object else X
 
 
-def compiled_step(s: Step, X: FinSet, cap: Optional[int]) -> Callable[[Element], Element]:
+def compiled_step(s: Step, X: FinSet, cap: int) -> Callable[[Element], Element]:
     """The element action of one whiskered component at X.
 
     Raises ``OversizeCarrier`` when a tabulated component's object would
@@ -153,7 +145,7 @@ def compiled_step(s: Step, X: FinSet, cap: Optional[int]) -> Callable[[Element],
     return compiled_action(s.prefix, s.nt.rule(_step_object(s, X, cap)))
 
 
-def compiled_path(steps: Sequence[Step], X: FinSet, cap: Optional[int]) -> Callable[[Element], Element]:
+def compiled_path(steps: Sequence[Step], X: FinSet, cap: int) -> Callable[[Element], Element]:
     """The composite of ``steps`` at X as an element action: each step is
     compiled once, and an element is pushed through them in order."""
     fns = [compiled_step(s, X, cap) for s in steps]
@@ -243,9 +235,9 @@ def _hole(F: Optional[FunctorExpr]):
 
 def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatTrans:
     """Family whose component at X is the path ``steps`` from src to tgt,
-    uncapped; it needs its object when a step's family does, is tabulated
-    where they are, and is linear at src's marked factor when ``carry_mark``
-    takes that to the head of tgt.  An unwhiskered first step runs its bare
+    under the default carrier cap; it needs its object when a step's family
+    does, is tabulated where they are, and is linear at src's marked factor
+    when ``carry_mark`` takes that to the head of tgt.  An unwhiskered first step runs its bare
     rule: every caller of a rule memoises or de-duplicates its inputs, or
     (``extension``) calls it bare, so a leaf memo would only copy them."""
     families = [s.nt for s in steps]
@@ -254,10 +246,10 @@ def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatT
     head, tail = (steps[0], steps[1:]) if isinstance(steps[0].prefix, Id) else (None, steps)
 
     def rule(X: FinSet) -> Callable[[Element], Element]:
-        path = compiled_path(tail, X, None)
+        path = compiled_path(tail, X, DEFAULT_CARRIER_CAP)
         if head is None:
             return path
-        bare = head.nt.rule(_step_object(head, X, None))
+        bare = head.nt.rule(_step_object(head, X, DEFAULT_CARRIER_CAP))
         return lambda e: path(bare(e))
 
     return NatTrans(src, tgt, rule, name=name, needs_object=any(nt.needs_object for nt in families),
@@ -277,7 +269,7 @@ def composite_map(
     """
     if not steps:
         raise ValueError("empty composite")
-    dom = source_carrier(step_source(steps[0]), X, cap)
+    dom = apply_obj(step_source(steps[0]), X, cap)
     fn = compiled_path(steps, X, cap)
     return {e: fn(e) for e in dom.elements}
 
@@ -301,12 +293,13 @@ def square_failure(
 def check_naturality(
     nt: NatTrans, morphisms: Iterable[FinFn]
 ) -> Optional[tuple[FinFn, Element]]:
-    """First naturality failure of nt against the given morphisms, if any."""
+    """First naturality failure of nt against the given morphisms, if any;
+    a square whose component refuses (``report.Refused``) is skipped."""
     for f in morphisms:
         try:
             at_dom = nt.component(f.dom)
             at_cod = nt.component(f.cod)
-        except ComponentUnavailable:
+        except Refused:
             continue
         x = square_failure(apply_mor(nt.src, f), apply_mor(nt.tgt, f), at_dom, at_cod)
         if x is not None:

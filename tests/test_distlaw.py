@@ -688,3 +688,12 @@ def test_library_tables_refuse_oversize_carriers_before_building_them():
     with pytest.raises(OversizeCarrier):
         apply_mor(compose_functors(Power(), Power()), D.T.mult.component(X))
     assert time.perf_counter() - start < 1.0
+
+
+def test_naturality_skips_a_square_whose_component_is_over_the_cap():
+    # the writer composite's multiplication has components at |X| <= 1 only:
+    # at |X| = 2 it would need PTPT(2), 2^32 elements
+    from decagon.transforms import check_naturality
+
+    mult = compose_monads(monoidal_to_algebra(writer_over_powerset())).mult
+    assert check_naturality(mult, TestUniverse.sizes(2).all_morphisms()) is None

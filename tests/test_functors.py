@@ -22,7 +22,8 @@ from decagon.functors import (
     compose_functors,
     size_within,
 )
-from decagon.transforms import OversizeCarrier, source_carrier
+from decagon.functors import _OBJ_CACHE
+from decagon.transforms import OversizeCarrier
 from test_elements import key_is_set, reference_key
 
 SMALL = [atoms(), atoms("a"), atoms("a", "b")]
@@ -59,10 +60,34 @@ def test_carrier_size_matches_enumeration():
 ], ids=["constant-outer", "empty-factor", "empty-exponent"])
 def test_size_within_saturates_when_a_carrier_built_on_the_way_exceeds_the_cap(F):
     # F(X) has at most one element, but apply_obj would build PP(X), with
-    # 2^32 elements at |X| = 5, on the way; the cap guard refuses instead
+    # 2^32 elements at |X| = 5, on the way; the cap guard refuses instead,
+    # also after F was built at the default cap on a smaller X
     assert size_within(F, 5, 1000) == 1001
+    assert len(apply_obj(F, atoms("a", "b"))) <= 1
     with pytest.raises(OversizeCarrier):
-        source_carrier(F, atoms(*"abcde"), 1000)
+        apply_obj(F, atoms(*"abcde"), 1000)
+
+
+def test_apply_obj_refuses_an_oversize_carrier_before_building_it():
+    F, X = Power(), atoms(*"abcdefghijklmnopqr")  # 2^18 elements
+    before = dict(_OBJ_CACHE)
+    with pytest.raises(OversizeCarrier):
+        apply_obj(F, X, cap=1000)
+    assert _OBJ_CACHE == before
+    # P(P(16)), 2^65536 elements, at the default cap
+    PP = compose_functors(Power(), Power())
+    with pytest.raises(OversizeCarrier):
+        apply_obj(PP, apply_obj(PP, atoms("a", "b")))
+
+
+def test_a_carrier_is_refused_under_a_cap_below_its_size_after_a_default_cap_build():
+    # the cap is part of the cache key: no verdict depends on which cap
+    # built a carrier first
+    F, X = Comp(Power(), Power()), atoms("a", "b")
+    assert len(apply_obj(F, X)) == 16
+    with pytest.raises(OversizeCarrier):
+        apply_obj(F, X, cap=15)
+    assert apply_obj(F, X, cap=16).elements == apply_obj(F, X).elements
 
 
 def test_functoriality_identity_and_composition():

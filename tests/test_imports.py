@@ -2,9 +2,13 @@
 
 No decagon module imports an underscore-prefixed name from another
 decagon module: a name that another module needs is public.  Only
-``functors.apply_obj`` calls the trusted ``FinSet._raw`` and
-``Subset._raw``, which skip the sort: every other carrier, user input
-included, is sorted by ``FinSet``, and every other subset by ``Subset``.
+``functors._carrier``, the builder behind ``apply_obj``, calls the trusted
+``FinSet._raw`` and ``Subset._raw``, which skip the sort: every other
+carrier, user input included, is sorted by ``FinSet``, and every other
+subset by ``Subset``.  Outside ``functors``, only ``join_generators``
+decides a carrier cap itself (``size_within``, ``OversizeCarrier``),
+because it must not build the carrier it decides on; everything else
+takes its carriers from ``apply_obj``, which decides the cap.
 Only ``report.compare`` pauses and resumes the cycle collector.  Only
 ``elements`` names its intern tables and its order-key memo, so their
 layout is decided in one module.  A transformation family is built only
@@ -63,8 +67,8 @@ SOURCES_AND_TESTS = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.
 
 
 def _only_apply_obj_calls_raw(owner: str):
-    uses = list(_uses(SOURCES_AND_TESTS, owner, {"_raw"}, "functors.py", "apply_obj"))
-    assert any(inside for _, inside in uses)  # the check sees apply_obj's calls
+    uses = list(_uses(SOURCES_AND_TESTS, owner, {"_raw"}, "functors.py", "_carrier"))
+    assert any(inside for _, inside in uses)  # the check sees the builder's calls
     assert [place for place, inside in uses if not inside] == []
 
 
@@ -134,6 +138,13 @@ def test_only_per_member_and_derived_set_linearity():
     assert places == {("transforms.py", "per_member"), ("transforms.py", "derived")}
     assert set(_calls("carry_mark")) == {("transforms.py", "derived"),
                                          ("pasting/evaluate.py", "generator_mark")}
+
+
+def test_only_join_generators_decides_a_carrier_cap_outside_functors():
+    found = set(_calls("size_within")) | set(_calls("OversizeCarrier"))
+    assert ("functors.py", "apply_obj") in found  # the check sees the builder's guard
+    assert {p for p in found if p[0] != "functors.py"} == {("pasting/evaluate.py",
+                                                          "join_generators")}
 
 
 def test_only_the_cell_evaluator_builds_join_generators():

@@ -437,16 +437,28 @@ def test_memoised_verdict_is_a_fresh_copy_of_a_fresh_evaluation():
     assert evaluate_cell(cell, interp, U).skipped > 0
 
 
+def test_a_generic_arrow_whose_boundary_is_over_the_cap_is_skipped():
+    # f: X -> PTY; PT(Y) has 4 elements at |Y| = 1, over a cap of 3, so
+    # those two object assignments are skipped, each as one instance
+    U = TestUniverse.sizes(1)
+    U.carrier_cap = 3
+    v = evaluate_cell(SIG.cells["xc-u-e-f"], law_interpretation(exception_over_powerset()), U)
+    assert (v.passed, v.checked, v.skipped) == (True, 3, 2)
+
+
 def test_verdict_memo_lives_as_long_as_the_interpretation():
+    # the memo is on the interpretation: the universe keeps no reference to it
     import gc
+    import weakref
 
     U = TestUniverse.sizes(1)
     interp = law_interpretation(exception_over_powerset())
     evaluate_cell(SIG.cells["xc-u-e-f"], interp, U)
-    assert len(U._verdicts) == 1
+    assert len(interp._verdicts) == 1
+    gone = weakref.ref(interp)
     del interp
     gc.collect()
-    assert len(U._verdicts) == 0
+    assert gone() is None
 
 
 def test_depth_bound_guards_memo_hits():
@@ -462,8 +474,7 @@ def _per_instance_verdict(cell, interp, universe):
     source carrier for every instance: the reference for the hoisting."""
     from decagon.functors import apply_obj
     from decagon.report import compare, quantify
-    from decagon.transforms import (ComponentUnavailable, OversizeCarrier, composite_map,
-                                    source_carrier)
+    from decagon.transforms import ComponentUnavailable, OversizeCarrier, composite_map
 
     atoms = cell.src.atoms + cell.tgt.atoms
     words = [cell.src.start] + [a.src for a in atoms] + [a.tgt for a in atoms]
@@ -477,7 +488,7 @@ def _per_instance_verdict(cell, interp, universe):
         if steps:
             return composite_map(steps, X, cap)
         F = interp.word_functor(path.start, objects)
-        return {e: e for e in source_carrier(F, X, cap).elements}
+        return {e: e for e in apply_obj(F, X, cap).elements}
 
     def instances():
         for X in universe.objects[:1] if obj_names else universe.objects:
