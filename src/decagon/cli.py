@@ -365,6 +365,8 @@ def _run_pasting_check(args, monads, laws) -> tuple[int, dict, list[str]]:
     from .pasting.evaluate import DepthBoundExceeded, check_axiom_degenerate
 
     sig = _load_signature(args.signature)
+    if not sig.axioms:
+        raise ConfigError("signature declares no axioms")
     interp = _interpretation_by_name(args.interpretation, laws)
     universe = _universe(args)
     names = list(sig.axioms) if args.axiom == "all" else [args.axiom]

@@ -67,9 +67,13 @@ _ORDER_KEYS = _OrderKeys()
 
 
 class Element:
-    """Base class for hash-consed elements."""
+    """Base class for hash-consed elements; they print as witnesses show
+    them (``element_repr``)."""
 
     __slots__ = ()
+
+    def __repr__(self):
+        return element_repr(self)
 
 
 class Atom(Element):
@@ -86,9 +90,6 @@ class Atom(Element):
     def _order_key(self):
         return (0, self.label)
 
-    def __repr__(self):
-        return f"Atom({self.label!r})"
-
 
 class Inl(Element):
     __slots__ = ("value",)
@@ -102,9 +103,6 @@ class Inl(Element):
 
     def _order_key(self):
         return (1, element_key(self.value))
-
-    def __repr__(self):
-        return f"Inl({self.value!r})"
 
 
 class Inr(Element):
@@ -120,9 +118,6 @@ class Inr(Element):
 
     def _order_key(self):
         return (2, element_key(self.value))
-
-    def __repr__(self):
-        return f"Inr({self.value!r})"
 
 
 class Pair(Element):
@@ -140,9 +135,6 @@ class Pair(Element):
 
     def _order_key(self):
         return (3, element_key(self.fst), element_key(self.snd))
-
-    def __repr__(self):
-        return f"Pair({self.fst!r}, {self.snd!r})"
 
 
 class Subset(Element):
@@ -183,9 +175,6 @@ class Subset(Element):
     def _order_key(self):
         return (4, tuple(sorted(map(element_key, self._members))))
 
-    def __repr__(self):
-        return f"Subset({list(self.members)!r})"
-
 
 class FnTable(Element):
     """Sorted entry tuple with duplicate-free keys; build through ``fn_table``."""
@@ -202,9 +191,6 @@ class FnTable(Element):
 
     def _order_key(self):
         return (5, tuple((element_key(a), element_key(b)) for a, b in self.entries))
-
-    def __repr__(self):
-        return f"FnTable({list(self.entries)!r})"
 
 
 # Total-order key of an element: constructor tag, then the children's keys.
@@ -241,7 +227,7 @@ def element_repr(e: Element) -> str:
         return "{" + ",".join(element_repr(m) for m in e.members) + "}"
     if type(e) is FnTable:
         return "[" + ",".join(f"{element_repr(k)}->{element_repr(v)}" for k, v in e.entries) + "]"
-    raise TypeError(f"not an Element: {e!r}")
+    raise TypeError(f"not an Element: {type(e).__name__}")
 
 
 class FinSet:

@@ -64,8 +64,6 @@ class Interpretation:
     name: str
     functors: dict[str, FunctorExpr]
     arrows: dict[str, NatTrans]
-    # cell -> its generator_mark under this interpretation
-    _marks: dict = field(default_factory=dict, init=False, repr=False)
     # (cell, carrier cap, objects) -> its verdict; see evaluate_cell
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -122,17 +120,15 @@ def generator_mark(cell: CellGen, interp: Interpretation) -> Optional[int]:
     factors (``functors.marked_power``), read off the interpreted functors,
     so the head P of a composite monad counts; ``carry_mark`` must take it
     to the head of the target on both paths.  Generic arrows are ``formula``
-    families, so they may act under the mark only.  Computed once per cell
-    and interpretation, on the cell's first evaluation."""
-    marks = interp._marks
-    if cell not in marks:
-        objects = defaultdict(FinSet)
-        generics = {a.gen.name: None for a in cell.src.atoms + cell.tgt.atoms}
-        at = marked_power(interp.word_functor(cell.src.start, objects))
-        marks[cell] = at if at is not None and all(
-            carry_mark(interp.path_steps(path, objects, generics), at) == 0
-            for path in (cell.src, cell.tgt)) else None
-    return marks[cell]
+    families, so they may act under the mark only.  Not memoised: the
+    verdict memo of ``evaluate_cell`` already asks once per cell, cap and
+    object list."""
+    objects = defaultdict(FinSet)
+    generics = {a.gen.name: None for a in cell.src.atoms + cell.tgt.atoms}
+    at = marked_power(interp.word_functor(cell.src.start, objects))
+    return at if at is not None and all(
+        carry_mark(interp.path_steps(path, objects, generics), at) == 0
+        for path in (cell.src, cell.tgt)) else None
 
 
 def join_generators(F: FunctorExpr, mark: int, X: FinSet, cap: int) -> FinSet:

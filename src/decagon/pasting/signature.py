@@ -157,18 +157,6 @@ class PathScript:
 # textual format
 
 
-def _word_str(w: Word) -> str:
-    return " ".join(w.symbols) if w.symbols else "epsilon"
-
-
-def _path_str(p: Path) -> str:
-    if not p.atoms:
-        return "@ " + _word_str(p.start)
-    return " ; ".join(
-        f"[{_word_str(a.prefix)} . {a.gen.name} . {_word_str(a.suffix)}]" for a in p.atoms
-    )
-
-
 def term_to_text(t: PastingTerm) -> str:
     """The s-expression of a pasting term, as signature files write it."""
     if isinstance(t, CellRef):
@@ -176,9 +164,9 @@ def term_to_text(t: PastingTerm) -> str:
     if isinstance(t, Inverse):
         return f"(inv (cell {t.term.name}))"
     if isinstance(t, IdCell):
-        return f"(id {_path_str(t.path)})"
+        return f"(id {t.path})"
     if isinstance(t, Whisker):
-        return f"(whisker {_word_str(t.left)} {term_to_text(t.term)} {_word_str(t.right)})"
+        return f"(whisker {t.left} {term_to_text(t.term)} {t.right})"
     if isinstance(t, VComp):
         return f"(vcomp {term_to_text(t.upper)} {term_to_text(t.lower)})"
     if isinstance(t, HComp):
@@ -189,11 +177,11 @@ def term_to_text(t: PastingTerm) -> str:
 def signature_to_text(sig: Signature) -> str:
     lines = ["(signature", "  (version 1)", f"  (alphabet {' '.join(sig.alphabet)})"]
     for a in sig.arrows.values():
-        lines.append(f"  (arrow {a.name} ({_word_str(a.src)}) ({_word_str(a.tgt)}))")
+        lines.append(f"  {a}")
     for c in sig.cells.values():
         lines.append(f"  (cell {c.name}")
-        lines.append(f"    (src {_path_str(c.src)})")
-        lines.append(f"    (tgt {_path_str(c.tgt)}))")
+        lines.append(f"    (src {c.src})")
+        lines.append(f"    (tgt {c.tgt}))")
     for name, (lhs, rhs) in sig.axioms.items():
         lines.append(f"  (axiom {name}")
         lines.append(f"    {term_to_text(lhs)}")

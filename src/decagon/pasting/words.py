@@ -5,6 +5,11 @@ monoid operation and the empty word is the identity functor.  An arrow
 atom is a generator whiskered by a prefix and suffix word; a path is a
 composable sequence of atoms and carries its start word explicitly so the
 empty path at a word is representable.
+
+Words, arrow declarations, atoms and paths print as signature files write
+them (``T P``, ``epsilon``, ``(arrow m (T T) (T))``,
+``[T . lambda . epsilon]``, ``@ T P``), so what a message shows can be
+read back.
 """
 
 from __future__ import annotations
@@ -48,10 +53,7 @@ class Word:
         return Word(self.symbols[: len(self.symbols) - len(suffix)])
 
     def __str__(self) -> str:
-        return "".join(self.symbols) if self.symbols else "1"
-
-    def __repr__(self) -> str:
-        return f"Word({''.join(self.symbols)!r})"
+        return " ".join(self.symbols) or "epsilon"
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,10 @@ class ArrowGen:
     src: Word
     tgt: Word
 
-    def __repr__(self):
-        return f"{self.name}:{self.src}->{self.tgt}"
+    def __str__(self):
+        return f"(arrow {self.name} ({self.src}) ({self.tgt}))"
+
+    __repr__ = __str__
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,9 @@ class ArrowAtom:
         return ArrowAtom(left + self.prefix, self.gen, self.suffix + right)
 
     def __str__(self):
-        p = str(self.prefix) if len(self.prefix) else "epsilon"
-        s = str(self.suffix) if len(self.suffix) else "epsilon"
-        return f"[{p} . {self.gen.name} . {s}]"
+        return f"[{self.prefix} . {self.gen.name} . {self.suffix}]"
 
-    def __repr__(self):
-        return str(self)
+    __repr__ = __str__
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,7 @@ class Path:
         return Path(self.start, self.atoms + other.atoms)
 
     def __str__(self):
-        if not self.atoms:
-            return f"@ {self.start}" if len(self.start) else "@ epsilon"
-        return " ; ".join(str(a) for a in self.atoms)
+        return " ; ".join(map(str, self.atoms)) if self.atoms else f"@ {self.start}"
 
     def __repr__(self):
         return f"Path({self})"

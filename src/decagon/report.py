@@ -35,7 +35,10 @@ class TestUniverse:
 
     @staticmethod
     def sizes(max_size: int = 2) -> "TestUniverse":
+        """The atom sets of sizes 0 to ``max_size``, which is at most 4."""
         labels = ["a", "b", "c", "d"]
+        if not 0 <= max_size <= len(labels):
+            raise ValueError(f"max_size must be in 0..{len(labels)}, got {max_size}")
         return TestUniverse([atoms(*labels[:n]) for n in range(max_size + 1)])
 
     def hom(self, X: FinSet, Y: FinSet) -> list[FinFn]:

@@ -260,6 +260,16 @@ def test_json_goes_to_stdout_summary_to_stderr():
     assert "pass" in err
 
 
+def test_pasting_check_on_a_signature_without_axioms_is_a_configuration_error(capsys):
+    # the shipped mixed signature declares cells only, so a check would
+    # report no verdict at all
+    code = run(["pasting-check", "--signature", str(ASSETS / "mixed_signature.sexp")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: signature declares no axioms\n"
+
+
 @pytest.mark.parametrize("text", [
     # an atom naming an arrow the signature does not declare
     "(signature (version 1) (alphabet T) (arrow m (T T) (T))\n"

@@ -25,12 +25,13 @@ from decagon.elements import (
     atoms,
     compose,
     element_key,
+    element_repr,
     fn_table,
     identity,
     subset,
 )
 from decagon.distlaw import _strength
-from decagon.functors import Const, Id, Power, Prod, apply_elem, apply_obj
+from decagon.functors import Const, Exp, Id, Power, Prod, Sum, apply_elem, apply_obj
 from decagon.monads import GROUP_Z2, builtin_monads
 
 
@@ -211,6 +212,32 @@ def key_is_set(e):
     """Whether the order key of ``e`` is in the memo, read without
     computing it."""
     return e in _ORDER_KEYS
+
+
+def _parts(e):
+    """The element and every element inside it."""
+    yield e
+    if type(e) in (Inl, Inr):
+        yield from _parts(e.value)
+    elif type(e) is Pair:
+        yield from _parts(e.fst)
+        yield from _parts(e.snd)
+    elif type(e) is Subset:
+        for m in e.members:
+            yield from _parts(m)
+    elif type(e) is FnTable:
+        for k, v in e.entries:
+            yield from _parts(k)
+            yield from _parts(v)
+
+
+def test_elements_print_as_witnesses_show_them():
+    carrier = apply_obj(Sum(Prod(Id(), Power()), Exp(atoms("r"))), atoms("a", "b"))
+    parts = [p for e in carrier for p in _parts(e)]
+    assert {type(p) for p in parts} == {Atom, Inl, Inr, Pair, Subset, FnTable}
+    for p in parts:
+        assert repr(p) == element_repr(p)
+    assert repr(Inl(Pair(Atom("a"), subset([Atom("b")])))) == "inl((a,{b}))"
 
 
 def test_no_element_class_keeps_an_order_key_slot():

@@ -18,6 +18,11 @@ callers of ``NatTrans``, and only ``transforms`` and ``functors`` use
 built.  Only ``per_member`` gives a family its ``linear`` position and
 only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
 join generators a cell is checked on.
+Elements have one printer: only ``Element``, ``FinSet`` and ``FinFn``
+define ``__repr__`` in ``elements``, so every element prints through
+``element_repr``.  Under ``pasting``, only ``words`` turns a word's symbols
+into text, so a word prints one way wherever it is shown; the one exception
+is the cell-name scheme of ``Signature.interchanger``.
 And every top-level function and class is referenced somewhere in the
 package outside its own definition, or wrapped by the benchmark's tracer.
 """
@@ -157,6 +162,39 @@ def test_only_transforms_and_functors_use_compiled_action():
             if _name(node) == "compiled_action"]
     assert any(u.startswith("transforms.py:") for u in uses)  # the check sees the uses
     assert [u for u in uses if u.split(":")[0] not in ("transforms.py", "functors.py")] == []
+
+
+def test_only_element_finset_and_finfn_define_a_printer_in_elements():
+    tree = ast.parse((SRC / "elements.py").read_text())
+    printers = {cls.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name in ("__repr__", "__str__")
+                or isinstance(node, ast.Assign)
+                and any(_name(t) in ("__repr__", "__str__") for t in node.targets)}
+    assert printers == {"Element", "FinSet", "FinFn"}
+
+
+def _symbol_joins(node, where=None):
+    """The dotted name of the definition around every ``join`` call whose
+    argument reads some ``.symbols``."""
+    for child in ast.iter_child_nodes(node):
+        inside = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inside = f"{where}.{child.name}" if where else child.name
+        if (isinstance(child, ast.Call) and _name(child.func) == "join"
+                and any(isinstance(n, ast.Attribute) and n.attr == "symbols"
+                        for arg in child.args for n in ast.walk(arg))):
+            yield inside
+        yield from _symbol_joins(child, inside)
+
+
+def test_only_words_prints_a_word_in_pasting():
+    joins = {(path.relative_to(SRC).as_posix(), where)
+             for path in sorted((SRC / "pasting").glob("*.py"))
+             for where in _symbol_joins(ast.parse(path.read_text(), str(path)))}
+    assert ("pasting/words.py", "Word.__str__") in joins  # the check sees the printer
+    assert {j for j in joins if j[0] != "pasting/words.py"} == {
+        ("pasting/signature.py", "Signature.interchanger")}
 
 
 def _traced_functions() -> set[str]:

@@ -41,6 +41,16 @@ U2 = TestUniverse.sizes(2)
 MONAD_NAMES = ["identity", "maybe", "exception", "exception2", "writer", "reader", "powerset"]
 
 
+def test_universe_sizes_run_from_zero_to_four():
+    assert TestUniverse.sizes(4).describe() == "sizes=0,1,2,3,4 cap=200000"
+    assert TestUniverse.sizes(0).describe() == "sizes=0 cap=200000"
+    # past four the labels would run out and repeat the largest object; below
+    # zero the universe would be empty and every verdict would check nothing
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match="max_size must be in 0..4"):
+            TestUniverse.sizes(bad)
+
+
 @pytest.mark.parametrize("name", MONAD_NAMES)
 def test_builtin_monads_pass_monoidal_laws(name):
     report = check_monad_monoidal(builtin_monads()[name], U2)

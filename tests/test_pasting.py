@@ -197,6 +197,22 @@ def test_rebuilt_signature_prints_the_shipped_asset(load):
     assert load().cells
 
 
+@pytest.mark.parametrize("load", SHIPPED, ids=lambda f: f.__name__)
+def test_every_shipped_path_prints_as_the_reader_reads_it(load):
+    from decagon.pasting.signature import _TOKEN, _path
+
+    sig = load()
+    for cell in sig.cells.values():
+        for path in (cell.src, cell.tgt):
+            assert _path(_TOKEN.findall(str(path)), sig.arrows) == path, cell.name
+
+
+def test_words_print_as_signature_files_write_them():
+    assert str(Word(())) == "epsilon"
+    assert str(Word(("L1", "R"))) == "L1 R"
+    assert str(Path(Word(()))) == "@ epsilon"
+
+
 def test_package_data_ships_the_signature_assets():
     tomllib = pytest.importorskip("tomllib")
     root = pathlib.Path(__file__).resolve().parents[1]
