@@ -135,15 +135,11 @@ def _report_json(command: str, universe: str, reports: list[LawReport],
     witnesses = []
     for rep in reports:
         for v in rep.verdicts:
-            verdicts.append({
-                "law": rep.law,
-                "axiom": v.axiom,
-                "passed": v.passed,
-                "checked": v.checked,
-                "skipped": v.skipped,
-            })
-            if v.witness is not None:
-                witnesses.append({"law": rep.law, "axiom": v.axiom, **v.witness.as_dict()})
+            row = {"law": rep.law, **v.as_dict()}
+            witness = row.pop("witness", None)
+            verdicts.append(row)
+            if witness is not None:
+                witnesses.append({"law": rep.law, "axiom": v.axiom, **witness})
     out = {
         "command": command,
         "universe": universe,

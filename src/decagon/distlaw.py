@@ -42,8 +42,8 @@ from .monads import (
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
-from .report import LawReport, TestUniverse, compare, instances, quantify
-from .transforms import NatTrans, Step, derived, extension, per_member, tabulated
+from .report import GENERATOR_VALUED_F, LawReport, TestUniverse, compare, instances, quantify
+from .transforms import Extension, NatTrans, Step, derived, extension, per_member, tabulated
 
 
 @dataclass
@@ -155,16 +155,23 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
 
     Each distinct morphism goes through the operator, and each op(g)
     through P's extension, once per call; an instance that refuses, such
-    as one that needs an unavailable component, is skipped."""
+    as one that needs an unavailable component, is skipped.  When ``op``
+    is ``linear_in_values`` (``algebra_to_noiter`` of a registered law),
+    both sides of op-unit preserve unions in each value of f, and so do
+    those of op-composition when P's extension also ``joins``; f then
+    ranges over its generator-valued maps (``report.quantify``)."""
     T, P, TF = D.T, D.P, D.T.functor
     op = cache(D.op)
     op_p = cache(lambda g: P.ext(op(g)))
+    reduce_unit = isinstance(D.op, Extension) and D.op.linear_in_values
+    reduce_comp = reduce_unit and isinstance(P.ext, Extension) and P.ext.joins
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, P.obj(apply_obj(TF, Y))
 
     def ax_unit():
-        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)]):
+        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)],
+                                   generator_valued=(0,) if reduce_unit else ()):
             uX = T.unit.component(X)
             yield from instances(f"f:{len(X)}->{len(Y)}", fs,
                                  lambda f: (compose(op(f), uX), f))
@@ -180,14 +187,15 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
         return compose(og_p, op(f)), op(compose(og_p, f))
 
     def ax_comp():
-        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)]):
+        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)],
+                                       generator_valued=(1,) if reduce_comp else ()):
             yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
                                  op_composition)
 
     return LawReport(f"noiter:{D.name}", universe.describe(), [
-        compare("op-unit", ax_unit()),
+        compare("op-unit", ax_unit(), GENERATOR_VALUED_F if reduce_unit else None),
         compare("op-eta", ax_eta()),
-        compare("op-composition", ax_comp()),
+        compare("op-composition", ax_comp(), GENERATOR_VALUED_F if reduce_comp else None),
     ])
 
 

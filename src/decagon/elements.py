@@ -45,7 +45,7 @@ without the set and the sort.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # member tuple, Inl value, or (tag, label or child objects...) -> the one
 # live element with that structure; pairs live in _PAIRS instead
@@ -368,11 +368,14 @@ def compose(g: FinFn, f: FinFn) -> FinFn:
     return FinFn._raw(f.dom, g.cod, {x: gm[fm[x]] for x in f.dom.elements})
 
 
-def iter_functions(X: FinSet, Y: FinSet) -> Iterator[FinFn]:
-    """All total functions X -> Y in deterministic order; |Y|^|X| of them."""
+def iter_functions(X: FinSet, Y: FinSet,
+                   values: Sequence[Element] | None = None) -> Iterator[FinFn]:
+    """All total functions X -> Y in deterministic order, |Y|^|X| of them,
+    or those whose values lie in ``values``, a subsequence of Y's elements,
+    in the same order."""
     xs = X.elements
-    for values in product(Y.elements, repeat=len(xs)):
-        yield FinFn._raw(X, Y, dict(zip(xs, values)))
+    for row in product(Y.elements if values is None else values, repeat=len(xs)):
+        yield FinFn._raw(X, Y, dict(zip(xs, row)))
 
 
 def all_functions(X: FinSet, Y: FinSet) -> list[FinFn]:

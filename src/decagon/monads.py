@@ -43,8 +43,9 @@ from .functors import (
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells
-from .report import LawReport, TestUniverse, compare, instances, quantify
+from .report import GENERATOR_VALUED_F, LawReport, TestUniverse, compare, instances, quantify
 from .transforms import (
+    Extension,
     NatTrans,
     extension,
     formula,
@@ -82,6 +83,9 @@ class Category:
     obj: Callable[[FinSet], FinSet]
     compose: Callable[[FinFn, FinFn], FinFn]
     identity: Callable[[FinSet], FinFn]
+    # compose(g, f) preserves unions in each value of f, which lie in a
+    # powerset carrier: set by ``kleisli`` over an extension that joins
+    joins: bool = False
 
 
 def _finset_compose(g: FinFn, f: FinFn) -> FinFn:
@@ -132,9 +136,16 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
     """The three Kleisli-triple equations, quantified over ambient homs.
 
     Each distinct morphism is extended once per call; an instance that
-    refuses, such as one that needs an unavailable component, is skipped."""
+    refuses, such as one that needs an unavailable component, is skipped.
+    When ``M.ext`` is ``linear_in_values`` and the ambient composition
+    ``joins`` (the Kleisli extension of a registered law), both sides of
+    extension-composition preserve unions in each value of f, so f ranges
+    over its generator-valued maps (``report.quantify``).  extension-unit
+    keeps the whole hom-set: its left side puts ext(f) first in the ambient
+    composition, where nothing records that it preserves unions."""
     amb = M.ambient
     ext = cache(M.ext)
+    reduce_f = isinstance(M.ext, Extension) and M.ext.linear_in_values and amb.joins
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, amb.obj(M.obj(Y))
@@ -155,14 +166,16 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
         return ext(amb.compose(eg, f)), amb.compose(eg, ext(f))
 
     def composition():
-        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)]):
+        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)],
+                                       generator_valued=(1,) if reduce_f else ()):
             yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
                                  extension_composition)
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
         compare("extension-unit", extension_unit()),
         compare("unit-extension", unit_extension()),
-        compare("extension-composition", composition()),
+        compare("extension-composition", composition(),
+                GENERATOR_VALUED_F if reduce_f else None),
     ])
 
 
@@ -218,6 +231,7 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Categ
         obj=lambda Y: base.obj(M.obj(Y)),
         compose=lambda g, f: base.compose(cached_ext(g), f),
         identity=lambda X: M.unit_at(X),
+        joins=base is BASE_CATEGORY and isinstance(M.ext, Extension) and M.ext.joins,
     )
 
 

@@ -82,7 +82,7 @@ def build_pentagons_from_omega(sig: Signature) -> tuple[PastingTerm, PastingTerm
     s.apply("unit-r-T", 2, inverse=True, left="P")
     s.slide(1)
     s.slide(0)
-    s.apply("unit-l-T", 1, inverse=True, left="TPP")
+    s.apply("unit-l-T", 1, inverse=True, left="T P P")
     s.apply("omega1", 1, inverse=True)
     s.apply("Omega", 2)
     s.slide(1)
@@ -142,7 +142,7 @@ def build_H(sig: Signature) -> PastingTerm:
     """The op-homomorphism square pasted from Psi and the psi2 inverses."""
     s = PathScript(sig, sig.cells["H"].src)
     s.apply("unit-r-P", 1, inverse=True, left="T")
-    s.apply("psi2", 0, inverse=True, left="TP")
+    s.apply("psi2", 0, inverse=True, left="T P")
     s.apply("Psi", 1)
     s.slide(0)
     s.apply("psi2", 1)

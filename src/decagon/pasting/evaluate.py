@@ -253,7 +253,8 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
                 yield from instances(at, morphisms, composites, prepare=lambda: [
                     _Side(interp, path, objects, X, cap, mark) for path in (cell.src, cell.tgt)])
 
-    return compare(f"cell:{cell.name}", cell_instances())
+    return compare(f"cell:{cell.name}", cell_instances(),
+                   None if mark is None else "join-generators")
 
 
 def check_cells(

@@ -1,9 +1,9 @@
 """Signatures, the textual term format, and the path rewrite script.
 
-The textual grammar: words are juxtaposed symbols ``T P T`` (``epsilon``
-when empty); atoms are ``[T . lambda . epsilon]`` (prefix, generator,
-suffix); paths are ``;``-separated atoms, or ``@ W`` for the identity path
-at a word; pasting terms are s-expressions such as
+The textual grammar: words are whitespace-separated symbols ``T P T``
+(``epsilon`` when empty); atoms are ``[T . lambda . epsilon]`` (prefix,
+generator, suffix); paths are ``;``-separated atoms, or ``@ W`` for the
+identity path at a word; pasting terms are s-expressions such as
 ``(vcomp (whisker T (cell omega3) epsilon) (id @ T P))``.
 """
 
@@ -90,9 +90,9 @@ class PathScript:
 
     ``apply`` matches a declared cell at an atom index (the whisker words
     are inferred from the matched atoms, or given explicitly for cells with
-    an empty side); ``slide`` interchanges two adjacent atoms acting on
-    disjoint word intervals, registering the interchanger cell it needs in
-    ``sig``.
+    an empty side, as text for ``Word.of``); ``slide`` interchanges two
+    adjacent atoms acting on disjoint word intervals, registering the
+    interchanger cell it needs in ``sig``.
     """
 
     def __init__(self, sig: Signature, source: Path):
@@ -190,8 +190,9 @@ def signature_to_text(sig: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Punctuation is a token by itself, and so is any other run of characters
+# up to whitespace or punctuation; ``Word.read`` refuses punctuation.
 _TOKEN = re.compile(r"[()\[\];.@]|[^\s()\[\];.@]+")
-_PUNCTUATION = frozenset("()[];.@")
 # Deepest parenthesis nesting a signature may have.  Terms are read, checked
 # and evaluated by recursion, one frame per level, so a deeper file is
 # refused here rather than overflowing the interpreter's stack later; the
@@ -220,13 +221,6 @@ def _read(text: str) -> list:
     return stack[0]
 
 
-def _word(tokens: list) -> Word:
-    for tok in tokens:
-        if not isinstance(tok, str) or tok in _PUNCTUATION:
-            raise ValueError(f"not a word symbol: {tok!r}")
-    return Word(tuple(tok for tok in tokens if tok != "epsilon"))
-
-
 def _atom(tokens: list, arrows: dict[str, ArrowGen]) -> ArrowAtom:
     """``[ prefix . name . suffix ]``: the token between the dots is the
     arrow, so an arrow may be named ``epsilon``."""
@@ -234,7 +228,7 @@ def _atom(tokens: list, arrows: dict[str, ArrowGen]) -> ArrowAtom:
         i = tokens.index(".")
         match tokens[i: i + 3]:
             case [".", str(name), "."] if name in arrows:
-                return ArrowAtom(_word(tokens[1:i]), arrows[name], _word(tokens[i + 3: -1]))
+                return ArrowAtom(Word.read(tokens[1:i]), arrows[name], Word.read(tokens[i + 3: -1]))
             case [".", str(name), "."]:
                 raise ValueError(f"unknown arrow {name!r}")
     raise ValueError(f"malformed atom {' '.join(map(str, tokens))!r}")
@@ -242,7 +236,7 @@ def _atom(tokens: list, arrows: dict[str, ArrowGen]) -> ArrowAtom:
 
 def _path(tokens: list, arrows: dict[str, ArrowGen]) -> Path:
     if tokens[:1] == ["@"]:
-        return Path(_word(tokens[1:]))
+        return Path(Word.read(tokens[1:]))
     atoms, start = [], 0
     for i, tok in enumerate(tokens + [";"]):
         if tok == ";":
@@ -261,7 +255,7 @@ def _term(form, arrows: dict[str, ArrowGen]) -> PastingTerm:
             return IdCell(_path(path, arrows))
         case ["whisker", *parts] if any(isinstance(p, list) for p in parts):
             i = next(i for i, p in enumerate(parts) if isinstance(p, list))
-            return Whisker(_word(parts[:i]), _term(parts[i], arrows), _word(parts[i + 1:]))
+            return Whisker(Word.read(parts[:i]), _term(parts[i], arrows), Word.read(parts[i + 1:]))
         case ["vcomp", first, *rest]:
             out = _term(first, arrows)
             for t in rest:
@@ -292,9 +286,9 @@ def parse_signature(text: str) -> Signature:
             case ["version", version]:
                 raise ValueError(f"unsupported signature version {version!r}")
             case ["alphabet", *symbols]:
-                sig.alphabet = _word(symbols).symbols
+                sig.alphabet = Word.read(symbols).symbols
             case ["arrow", str(name), list(src), list(tgt)]:
-                _declare(sig.arrows, "arrow", name, ArrowGen(name, _word(src), _word(tgt)))
+                _declare(sig.arrows, "arrow", name, ArrowGen(name, Word.read(src), Word.read(tgt)))
             case ["cell", str(name), ["src", *src], ["tgt", *tgt]]:
                 cell = CellGen(name, _path(src, sig.arrows), _path(tgt, sig.arrows))
                 _declare(sig.cells, "cell", name, cell)

@@ -18,17 +18,29 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+# The characters that are tokens by themselves in a signature file, so
+# that no symbol contains one.
+_PUNCTUATION = frozenset("()[];.@")
+
+
 @dataclass(frozen=True)
 class Word:
     symbols: tuple[str, ...] = ()
 
     @staticmethod
+    def read(tokens: list) -> "Word":
+        """The word of a list of tokens, each one symbol and ``epsilon``
+        none: the one word reader, of signature files and of ``of``."""
+        for tok in tokens:
+            if not isinstance(tok, str) or not _PUNCTUATION.isdisjoint(tok):
+                raise ValueError(f"not a word symbol: {tok!r}")
+        return Word(tuple(tok for tok in tokens if tok != "epsilon"))
+
+    @staticmethod
     def of(text: str) -> "Word":
-        """Parse juxtaposed one-letter symbols; 'epsilon' or '' is empty."""
-        text = text.strip()
-        if text in ("", "epsilon"):
-            return Word(())
-        return Word(tuple(text.replace(" ", "")))
+        """Read a word as it prints: symbols separated by whitespace, and
+        'epsilon' or '' for the empty word."""
+        return Word.read(text.split())
 
     def __add__(self, other: "Word") -> "Word":
         return Word(self.symbols + other.symbols)

@@ -6,6 +6,14 @@ astronomically large (iterated powersets grow as towers of exponentials)
 are counted in ``skipped`` rather than silently ignored.  Every checker
 draws its instances with ``quantify``, settles each one in ``instances``
 and reaches its verdicts through the one kernel ``compare``.
+
+``P B`` is the free join-semilattice on ``B``, so an equation whose two
+sides preserve unions in each value of an arrow ``f: X -> P(B)`` holds for
+every ``f`` once it holds for every ``f`` whose values are the empty set
+or singletons.  ``quantify`` ranges such an arrow over those
+``(|B|+1)^|X|`` generator-valued maps, each a member of the hom-set, when
+its caller shows the sides linear by construction; ``checked`` still
+counts the instances of the whole hom-set that they cover.
 """
 
 from __future__ import annotations
@@ -14,12 +22,15 @@ import gc
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import prod
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter_functions
 
 DEFAULT_CARRIER_CAP = 200_000
 HOM_CAP = 4096
+# the reduction of an equation whose arrow f ranges over its generator-valued maps
+GENERATOR_VALUED_F = "generator-valued-f"
 
 
 @dataclass
@@ -47,6 +58,16 @@ class TestUniverse:
         fns = self._homs.get((X, Y))
         if fns is None:
             fns = self._homs[X, Y] = list(iter_functions(X, Y))
+        return fns
+
+    def generators(self, X: FinSet, Y: FinSet) -> list[FinFn]:
+        """The functions X -> Y, Y a powerset carrier, whose values are the
+        empty set or singletons (``_generator_values``), in the order of
+        ``hom(X, Y)``; one list per pair for the life of the universe."""
+        fns = self._homs.get((X, Y, "generators"))
+        if fns is None:
+            fns = self._homs[X, Y, "generators"] = list(
+                iter_functions(X, Y, _generator_values(Y)))
         return fns
 
     def all_morphisms(self) -> Iterator[FinFn]:
@@ -79,6 +100,10 @@ class AxiomVerdict:
     checked: int
     skipped: int = 0
     witness: Optional[Witness] = None
+    # the reduction the instances ran under: "join-generators" for a cell
+    # checked on the join generators of its source, "generator-valued-f"
+    # for an equation whose arrow f ranged over its generator-valued maps
+    reduction: Optional[str] = None
 
     def as_dict(self) -> dict:
         out = {
@@ -87,16 +112,42 @@ class AxiomVerdict:
             "checked": self.checked,
             "skipped": self.skipped,
         }
+        if self.reduction is not None:
+            out["reduction"] = self.reduction
         if self.witness is not None:
             out["witness"] = self.witness.as_dict()
         return out
+
+
+def _generator_values(Y: FinSet) -> list:
+    """The empty set and the singletons of the powerset carrier Y, in its
+    order: they generate Y under unions."""
+    return [S for S in Y.elements if len(S._members) <= 1]
+
+
+@dataclass
+class Reduced:
+    """One object assignment whose generator-valued arrows range over their
+    generator-valued maps only.
+
+    ``generators`` iterates over those tuples of functions, with the other
+    arrows over their whole hom-sets; ``covered`` is the number of tuples of
+    the whole hom-sets they stand for; ``full()`` iterates over these when
+    every whole hom-set has at most ``HOM_CAP`` functions, and ``full`` is
+    None otherwise.  ``instances`` turns each tuple into a settled instance.
+    """
+
+    generators: Iterable
+    covered: int
+    full: Optional[Callable[[], Iterable]]
 
 
 def quantify(
     universe: TestUniverse,
     symbols: Sequence[str],
     arrows: Callable[..., Sequence[tuple[FinSet, FinSet]]],
-) -> Iterator[tuple[tuple[FinSet, ...], Optional[Iterator[tuple[FinFn, ...]]]]]:
+    generator_valued: Collection[int] = (),
+) -> Iterator[tuple[tuple[FinSet, ...], Optional[Iterator[tuple[FinFn, ...]] | Reduced]]]:
     """The quantifier of every equation over objects and hom-sets.
 
     Assigns universe objects to the object ``symbols``, the first varying
@@ -106,17 +157,34 @@ def quantify(
     vary, the first slowest; ``morphisms`` iterates over their tuples of
     functions, or is None when a hom-set has more than ``HOM_CAP`` or
     ``arrows`` refuses (``Refused``), as for a carrier over the cap.
+
+    The arrows at the positions ``generator_valued``, each into a powerset
+    carrier, range over their generator-valued maps only
+    (``TestUniverse.generators``), and ``HOM_CAP`` applies to their count:
+    ``morphisms`` is then ``Reduced``.  The caller vouches that both sides
+    of its equation preserve unions in each value of such an arrow.  No
+    whole hom-set of such an arrow is built unless ``Reduced.full`` runs.
     """
+    def tuples(ends, reduced=()):
+        return product(*(universe.generators(dom, cod) if i in reduced
+                         else universe.hom(dom, cod) for i, (dom, cod) in enumerate(ends)))
+
     for objects in product(universe.objects, repeat=len(symbols)):
         try:
             ends = arrows(*objects)
         except Refused:
             yield objects, None
             continue
-        if any(len(cod) ** len(dom) > HOM_CAP for dom, cod in ends):
+        whole = [len(cod) ** len(dom) for dom, cod in ends]
+        drawn = [len(_generator_values(cod)) ** len(dom) if i in generator_valued else n
+                 for i, ((dom, cod), n) in enumerate(zip(ends, whole))]
+        if max(drawn, default=0) > HOM_CAP:
             yield objects, None
+        elif not generator_valued:
+            yield objects, tuples(ends)
         else:
-            yield objects, product(*(universe.hom(dom, cod) for dom, cod in ends))
+            yield objects, Reduced(tuples(ends, generator_valued), prod(whole),
+                                   partial(tuples, ends) if max(whole) <= HOM_CAP else None)
 
 
 class Refused(Exception):
@@ -124,7 +192,7 @@ class Refused(Exception):
     over the cap or whose component is missing; it counts as skipped."""
 
 
-def instances(at: str, morphisms: Optional[Iterable[tuple]],
+def instances(at: str, morphisms: Optional[Iterable[tuple] | Reduced],
               sides: Callable[..., tuple] | dict[str, Callable[..., tuple]],
               prepare: Optional[Callable[[], object]] = None) -> Iterator[tuple]:
     """The settled instances of one object assignment of ``quantify``.
@@ -136,11 +204,12 @@ def instances(at: str, morphisms: Optional[Iterable[tuple]],
     ``sides`` is a dict from a label, appended to ``at``, to the sides of
     each equation when an instance states several.  ``prepare`` builds
     what every instance of the assignment shares, once, and ``sides``
-    takes it first; when it refuses, every instance is skipped.
+    takes it first; when it refuses, every instance is skipped.  A
+    ``Reduced`` assignment is one ``(at, Reduced)`` whose streams are of
+    settled instances, for ``compare`` to count.
     """
     if morphisms is None:
-        yield at, None
-        return
+        return iter([(at, None)])
     labelled = sides.items() if isinstance(sides, dict) else [("", sides)]
     equations = [(at + label, eq) for label, eq in labelled]
     if prepare is not None:
@@ -149,20 +218,29 @@ def instances(at: str, morphisms: Optional[Iterable[tuple]],
             equations = [(where, partial(eq, shared)) for where, eq in equations]
         except Refused:
             equations = [(where, None) for where, _ in equations]
-    for fs in morphisms:
-        for where, eq in equations:
-            settled = None
-            if eq is not None:
-                try:
-                    settled = eq(*fs)
-                except Refused:
-                    pass
-                except CompositionError as exc:
-                    settled = exc
-            yield where, settled
+
+    def settle(tuples: Iterable[tuple]) -> Iterator[tuple]:
+        for fs in tuples:
+            for where, eq in equations:
+                settled = None
+                if eq is not None:
+                    try:
+                        settled = eq(*fs)
+                    except Refused:
+                        pass
+                    except CompositionError as exc:
+                        settled = exc
+                yield where, settled
+
+    if type(morphisms) is not Reduced:
+        return settle(morphisms)
+    full = morphisms.full
+    return iter([(at, Reduced(settle(morphisms.generators), morphisms.covered * len(equations),
+                              None if full is None else lambda: settle(full())))])
 
 
-def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> AxiomVerdict:
+def compare(axiom: str, instances: Iterable[tuple[str, object]],
+            reduction: Optional[str] = None) -> AxiomVerdict:
     """The compare-and-witness kernel of every checker.
 
     ``instances`` yields ``(at, sides)`` per instance: ``sides`` is None for
@@ -174,7 +252,11 @@ def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> Axi
     element, in that order, where its sides differ, or for ``FinFn`` sides
     that agree on every element, the boundary they differ in.  The verdict
     passes when there is no witness and at least one instance was
-    evaluated.
+    evaluated; it names the ``reduction`` its instances ran under.
+
+    ``sides`` may also be a ``Reduced`` assignment of settled instances
+    (``_tally_reduced``), so that the counts and the witness are those of
+    the whole hom-sets.
 
     Automatic cyclic garbage collection is paused while ``instances`` is
     consumed, which is where every checker builds its carriers and runs
@@ -184,23 +266,57 @@ def compare(axiom: str, instances: Iterable[tuple[str, Optional[tuple]]]) -> Axi
     nested ``compare`` or a caller that had collection off finds it as it
     left it, and any cycle made meanwhile goes at the next collection.
     """
-    checked = skipped = 0
-    witness = None
+    counts = [0, 0]  # checked, skipped
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for at, sides in instances:
-            if sides is None:
-                skipped += 1
-                continue
-            checked += 1
-            if witness is None:
-                witness = _difference(at, sides)
+        witness = _tally(instances, counts, None)
     finally:
         if collecting:
             gc.enable()
+    checked, skipped = counts
     return AxiomVerdict(axiom, passed=witness is None and checked > 0, checked=checked,
-                        skipped=skipped, witness=witness)
+                        skipped=skipped, witness=witness, reduction=reduction)
+
+
+def _tally(instances: Iterable[tuple[str, object]], counts: list[int],
+           witness: Optional[Witness]) -> Optional[Witness]:
+    """Adds the settled ``instances`` to ``counts`` (checked, skipped) and
+    returns ``witness``, or when it is None the first one they show."""
+    for at, sides in instances:
+        if sides is None:
+            counts[1] += 1
+        elif type(sides) is Reduced:
+            witness = _tally_reduced(sides, counts, witness)
+        else:
+            counts[0] += 1
+            if witness is None:
+                witness = _difference(at, sides)
+    return witness
+
+
+def _tally_reduced(r: Reduced, counts: list[int],
+                   witness: Optional[Witness]) -> Optional[Witness]:
+    """Settles one reduced assignment as the whole hom-sets would.
+
+    When no generator instance refuses, every covered instance counts as
+    checked: one fails exactly when a generator instance does.  The first
+    assignment with a failing generator instance, and any with a refused
+    one, is run again on the whole hom-sets, for their witness and counts,
+    when they fit ``HOM_CAP``; where they do not, the witness is the first
+    failing generator instance's, and an assignment with a refused one
+    counts its generator instances as they settled.
+    """
+    own = [0, 0]
+    found = _tally(r.generators, own, None)
+    if r.full is not None and (own[1] or (found is not None and witness is None)):
+        return _tally(r.full(), counts, witness)
+    if own[1]:
+        counts[0] += own[0]
+        counts[1] += own[1]
+    else:
+        counts[0] += r.covered
+    return witness or found
 
 
 def _difference(at: str, sides) -> Optional[Witness]:

@@ -19,7 +19,9 @@ subset at that factor of its source, into the subset at the head of its
 target, so that it is fixed by its values on the empty set and the
 singletons there.  It comes only from construction: ``per_member`` sets
 it, and ``derived`` reads it off its steps with ``carry_mark``.  A
-``formula`` or ``tabulated`` family has none.
+``formula`` or ``tabulated`` family has none.  ``extension`` reads its
+family's position to record, on the operator it builds, which unions the
+operator preserves (``Extension``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .functors import (
     FunctorExpr,
     Id,
     OversizeCarrier,
+    Power,
     Prod,
     apply_mor,
     apply_obj,
@@ -307,7 +310,28 @@ def check_naturality(
     return None
 
 
-def extension(c: NatTrans, T: FunctorExpr) -> Callable[[FinFn], FinFn]:
+@dataclass(frozen=True)
+class Extension:
+    """An extension operator f |-> c_Y . T(f), built by ``extension``, with
+    what its construction shows about unions.
+
+    ``linear_in_values``: the operator preserves (nonempty) unions in each
+    value of its argument f, so an equation built from it may range f over
+    its maps whose values are the empty set or singletons
+    (``report.quantify``).
+    ``joins``: each ext(f) preserves unions in its input.  A user's
+    operator is a plain callable and shows neither.
+    """
+
+    run: Callable[[FinFn], FinFn]
+    linear_in_values: bool = False
+    joins: bool = False
+
+    def __call__(self, f: FinFn) -> FinFn:
+        return self.run(f)
+
+
+def extension(c: NatTrans, T: FunctorExpr) -> Extension:
     """The extension operator of a family c: T F => F, F its target:
     f: X -> F(Y) goes to c_Y after T(f): T(X) -> F(Y).
 
@@ -315,6 +339,13 @@ def extension(c: NatTrans, T: FunctorExpr) -> Callable[[FinFn], FinFn]:
     tabulated one is located at the Y among c's tabulated objects with
     F(Y) = f.cod.  Each component is built once and kept for the lifetime
     of the operator, so the memo of its compiled action is reused.
+
+    The operator is ``linear_in_values`` when c is linear at the P just
+    behind T's factors, which ``marked_power`` allows only when they are
+    all one-position: T(f) puts at most one value f(x) in that P, and c
+    splits unions there (a registered law's alpha).  Each ext(f) ``joins``
+    when T's head factor is P and c is linear at it: T(f) is a direct image
+    there, which preserves unions, and so does c (P's own multiplication).
     """
     memo: dict = {}
 
@@ -332,4 +363,6 @@ def extension(c: NatTrans, T: FunctorExpr) -> Callable[[FinFn], FinFn]:
         dom = apply_obj(T, f.dom)
         return FinFn._raw(dom, f.cod, {e: c_fn(tf(e)) for e in dom.elements})
 
-    return ext
+    fs = factors(T)
+    return Extension(ext, linear_in_values=c.linear == len(fs),
+                     joins=c.linear == 0 and bool(fs) and isinstance(fs[0], Power))

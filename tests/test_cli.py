@@ -32,6 +32,22 @@ def test_check_law_decagon_exit_zero(capsys):
     assert all(v["passed"] for v in payload["verdicts"])
 
 
+def test_a_verdict_row_names_its_reduction_only_when_it_ran_under_one(capsys):
+    assert run(["check-law", "--law", "writer-over-powerset", "--max-size", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["verdicts"]
+    named = {(v["law"].split(":")[0], v["axiom"]): v["reduction"] for v in rows if "reduction" in v}
+    assert named == {("beck", "mu-pentagon"): "join-generators",
+                     ("decagon", "decagon"): "join-generators",
+                     ("algebra", "hexagon"): "join-generators",
+                     ("noiter", "op-unit"): "generator-valued-f",
+                     ("noiter", "op-composition"): "generator-valued-f",
+                     ("five-axiom", "m-square"): "join-generators",
+                     ("five-axiom", "mu-diagram"): "join-generators"}
+    assert run(["check-monad", "--monad", "powerset", "--form", "extensive",
+                "--max-size", "1"]) == 0
+    assert all("reduction" not in v for v in json.loads(capsys.readouterr().out)["verdicts"])
+
+
 def test_unknown_law_exit_two(capsys):
     assert run(["check-law", "--law", "unknown-name"]) == 2
 

@@ -431,6 +431,104 @@ def test_tabulated_lambda_law_skips_unavailable_components():
             assert v.checked + v.skipped == w.checked
 
 
+def _dropping_law() -> DistLaw:
+    """exception-dist that drops every member inr(e) or inl(b) of the subset
+    in inl(S): built by ``per_member``, so still linear by construction."""
+    from decagon.distlaw import _exception_dist
+    from decagon.transforms import per_member
+
+    good = exception_over_powerset()
+    dropped = {Inr(Atom("e")), Inl(Atom("b"))}
+
+    def rule(e):
+        if type(e) is Inl and e.value._members[0] in dropped:
+            return Subset(())
+        return _exception_dist(e)
+
+    return DistLaw("dropping", good.T, good.P,
+                   per_member(good.lam.src, good.lam.tgt, rule, name="dropping"))
+
+
+def _operator_forms(law):
+    """The no-iteration form and the Kleisli extension of ``law``, each
+    beside a reference whose operator is wrapped in a plain lambda, so that
+    it shows no linearity and quantifies every arrow over its whole
+    hom-set."""
+    from decagon.distlaw import DistLawNoIteration, extend_to_kleisli
+    from decagon.monads import MonadExtensive
+
+    alg = monoidal_to_algebra(law)
+    ni, M = algebra_to_noiter(alg), extend_to_kleisli(alg)
+    return [
+        (check_noiter, ni, DistLawNoIteration(ni.name, ni.T, ni.P, lambda f: ni.op(f))),
+        (check_monad_extensive, M,
+         MonadExtensive(M.name, M.obj, M.unit_at, lambda f: M.ext(f), M.ambient)),
+    ]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize("make", [exception_over_powerset, writer_over_powerset, _dropping_law],
+                         ids=lambda f: f.__name__)
+def test_generator_valued_f_gives_the_full_verdict(make, size):
+    # the reduced quantifier counts the instances it covers and reruns the
+    # first failing assignment in full, so every field of the verdict is the
+    # full quantifier's wherever the full hom-sets fit HOM_CAP
+    U = TestUniverse.sizes(size)
+    for check, reduced, reference in _operator_forms(make()):
+        got, want = check(reduced, U), check(reference, U)
+        assert [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in got.verdicts] == \
+            [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in want.verdicts]
+        assert {v.axiom for v in got.verdicts if v.reduction == "generator-valued-f"} == \
+            {"op-unit", "op-composition", "extension-composition"} & {v.axiom for v in got.verdicts}
+        assert all(v.reduction is None for v in want.verdicts)
+
+
+def test_the_dropping_law_fails_every_operator_axiom():
+    law = _dropping_law()
+    assert monoidal_to_algebra(law).alpha.linear == 1
+    for check, reduced, reference in _operator_forms(law):
+        for report in (check(reduced, U2), check(reference, U2)):
+            assert not any(v.passed for v in report.verdicts), report.summary()
+    comp = check_noiter(algebra_to_noiter(monoidal_to_algebra(law)), U2).verdict("op-composition")
+    assert comp.reduction == "generator-valued-f"
+    assert comp.witness.as_dict() == {"at": "f:1->2,g:2->1", "element": "inl(a)",
+                                      "lhs": "{}", "rhs": "{inl(a)}"}
+
+
+def test_only_operators_built_from_linear_parts_range_f_over_generators():
+    from decagon.distlaw import DistLawAlgebra, DistLawNoIteration, extend_to_kleisli
+    from decagon.transforms import Extension
+
+    def reduced(report):
+        return [v.axiom for v in report.verdicts if v.reduction == "generator-valued-f"]
+
+    for law in (exception_over_powerset(), writer_over_powerset()):
+        alg = monoidal_to_algebra(law)
+        assert alg.alpha.linear == 1
+        ni, M = algebra_to_noiter(alg), extend_to_kleisli(alg)
+        assert isinstance(ni.op, Extension) and ni.op.linear_in_values
+        assert isinstance(M.ext, Extension) and M.ext.linear_in_values and M.ambient.joins
+        assert reduced(check_noiter(ni, U1)) == ["op-unit", "op-composition"]
+        assert reduced(check_monad_extensive(M, U1)) == ["extension-composition"]
+
+    law = exception_over_powerset()
+    alg = monoidal_to_algebra(law)
+    ni = algebra_to_noiter(alg)
+    tabulated_alpha = noiter_to_algebra(ni, U1, law.P)
+    # the same element formula, which needs no object, with no linearity
+    formula_alpha = DistLawAlgebra(law.name, law.T, law.P,
+                                   formula(alg.alpha.src, alg.alpha.tgt, alg.alpha.rule(None)))
+    powerset = monoidal_to_extensive(powerset_monad())
+    assert powerset.ext.joins and not powerset.ext.linear_in_values
+    for report in (check_noiter(DistLawNoIteration(law.name, law.T, ni.P, lambda f: ni.op(f)), U1),
+                   check_noiter(algebra_to_noiter(tabulated_alpha), U1),
+                   check_noiter(algebra_to_noiter(formula_alpha), U1),
+                   check_monad_extensive(extend_to_kleisli(tabulated_alpha), U1),
+                   check_monad_extensive(extend_to_kleisli(formula_alpha), U1),
+                   check_monad_extensive(powerset, U1)):
+        assert report.ok and reduced(report) == [], report.summary()
+
+
 def _tabulated_t_law() -> DistLaw:
     """exception-dist over a T recovered from its extension data, tabulated
     on sizes <= 1."""

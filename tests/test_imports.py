@@ -17,7 +17,10 @@ callers of ``NatTrans``, and only ``transforms`` and ``functors`` use
 ``compiled_action``: a family's linearity can then be read off how it was
 built.  Only ``per_member`` gives a family its ``linear`` position and
 only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
-join generators a cell is checked on.
+join generators a cell is checked on.  Likewise only ``extension`` records
+which unions an extension operator preserves (``Extension``), which
+``kleisli`` passes on to its composition, and only ``report.quantify``
+builds the generator-valued hom-sets an arrow may range over.
 Elements have one printer: only ``Element``, ``FinSet`` and ``FinFn``
 define ``__repr__`` in ``elements``, so every element prints through
 ``element_repr``.  Under ``pasting``, only ``words`` turns a word's symbols
@@ -143,6 +146,25 @@ def test_only_per_member_and_derived_set_linearity():
     assert places == {("transforms.py", "per_member"), ("transforms.py", "derived")}
     assert set(_calls("carry_mark")) == {("transforms.py", "derived"),
                                          ("pasting/evaluate.py", "generator_mark")}
+
+
+def test_only_extension_records_which_unions_an_operator_preserves():
+    places = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.keyword) and node.arg in ("linear_in_values", "joins"):
+                    places.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None),
+                                node.arg))
+    assert set(_calls("Extension")) == {("transforms.py", "extension")}
+    assert places == {("transforms.py", "extension", "linear_in_values"),
+                      ("transforms.py", "extension", "joins"), ("monads.py", "kleisli", "joins")}
+
+
+def test_only_quantify_builds_generator_valued_hom_sets():
+    assert set(_calls("generators")) == {("report.py", "quantify")}
+    assert set(_calls("_generator_values")) == {("report.py", "quantify"),
+                                               ("report.py", "TestUniverse")}
 
 
 def test_only_join_generators_decides_a_carrier_cap_outside_functors():

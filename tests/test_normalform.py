@@ -64,7 +64,7 @@ def test_constructed_swap_pair_normalizes_equal():
     def A(prefix, name, suffix):
         return ArrowAtom(Word.of(prefix), sig.arrows[name], Word.of(suffix))
 
-    atoms = (A("", "m", "PT"), A("", "lambda", "T"), A("PTT", "eta", ""), A("PT", "lambda", ""))
+    atoms = (A("", "m", "P T"), A("", "lambda", "T"), A("P T T", "eta", ""), A("P T", "lambda", ""))
     start = Path(atoms[0].src, atoms)
     s1 = PathScript(sig, start)
     s1.apply("omega3", 0)

@@ -55,7 +55,7 @@ def test_boundary_of_idcell():
 
 def test_boundary_of_decagon_reference():
     src, tgt = boundary(CellRef("Omega"), SIG)
-    assert src.start == Word.of("TPTPT") and src.end == Word.of("PT")
+    assert src.start == Word.of("T P T P T") and src.end == Word.of("P T")
     assert len(src) == 5 and len(tgt) == 5
 
 
@@ -74,8 +74,8 @@ def test_inverse_restricted_to_cells():
 def test_whisker_boundary():
     t = Whisker(Word.of("T"), CellRef("omega3"), Word.of(""))
     src, tgt = boundary(t, SIG)
-    assert src.start == Word.of("TTTP")
-    assert tgt.end == Word.of("TPT")
+    assert src.start == Word.of("T T T P")
+    assert tgt.end == Word.of("T P T")
 
 
 def test_omega_builder_matches_declared_boundary():
@@ -104,7 +104,7 @@ def test_h_builder_matches_declared_boundary():
 def test_theta_boundary_shape():
     # source: the extension of the Kleisli unit; target: the Kleisli identity
     theta = SIG.cells["theta"]
-    assert theta.src.start == Word.of("TX") and theta.src.end == Word.of("PTX")
+    assert theta.src.start == Word.of("T X") and theta.src.end == Word.of("P T X")
     assert len(theta.tgt) == 1 and theta.tgt.atoms[0].gen.name == "eta"
 
 
@@ -211,6 +211,17 @@ def test_words_print_as_signature_files_write_them():
     assert str(Word(())) == "epsilon"
     assert str(Word(("L1", "R"))) == "L1 R"
     assert str(Path(Word(()))) == "@ epsilon"
+
+
+@pytest.mark.parametrize("symbols", [(), ("T",), ("L1", "R"), ("T", "P", "P")])
+def test_a_printed_word_reads_back_as_itself(symbols):
+    assert Word.of(str(Word(symbols))) == Word(symbols)
+
+
+@pytest.mark.parametrize("text", ["T.P", "(T)", "T ;"])
+def test_a_word_has_no_punctuation(text):
+    with pytest.raises(ValueError, match="not a word symbol"):
+        Word.of(text)
 
 
 def test_package_data_ships_the_signature_assets():
