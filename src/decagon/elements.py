@@ -31,8 +31,7 @@ while they outlive every element.
 Invariant: elements form no reference cycles.  Each constructor's
 children exist before it, its slots are set once, on creation, and never
 reassigned, and the memo holds only order keys, tuples of tags, labels
-and keys.  So the cyclic garbage collector can free nothing here, and
-``report.compare`` pauses it while a verdict builds and drops elements.
+and keys.  So the cyclic garbage collector can free nothing here.
 
 Carriers need no order keys: ``functors.apply_obj`` builds each one in the
 structural order, so keys serve only the printers, ``fn_table`` and a

@@ -43,7 +43,7 @@ from .functors import (
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells
-from .report import GENERATOR_VALUED_F, LawReport, TestUniverse, compare, instances, quantify
+from .report import LawReport, TestUniverse, compare, instances, quantify
 from .transforms import (
     Extension,
     NatTrans,
@@ -174,8 +174,7 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
         compare("extension-unit", extension_unit()),
         compare("unit-extension", unit_extension()),
-        compare("extension-composition", composition(),
-                GENERATOR_VALUED_F if reduce_f else None),
+        compare("extension-composition", composition()),
     ])
 
 

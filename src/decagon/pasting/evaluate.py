@@ -24,14 +24,16 @@ singletons.  ``generator_mark`` finds the cells whose two paths both
 preserve unions in one marked subset of the source, and each instance of
 such a cell runs on those generators (``join_generators``) instead of the
 whole source carrier.  Whether an instance fits the carrier cap is still
-decided on the whole carrier, so the counts do not move, and the first
-failing instance is run again on the whole carrier for its witness.
+decided on the whole carrier, so the counts do not move, and the kernel
+(``report.compare``) runs the first failing instance again on the whole
+carrier for its witness.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from ..elements import FinFn, FinSet, Subset
@@ -156,7 +158,7 @@ class _Side:
 
     def __init__(self, interp: Interpretation, path: Path, objects: dict[str, FinSet],
                  X: FinSet, cap: int, mark: Optional[int]):
-        self.interp, self.path, self.objects, self.X, self.cap = interp, path, objects, X, cap
+        self.interp, self.objects, self.X, self.cap = interp, objects, X, cap
         F = interp.word_functor(path.start, objects)
         self.dom = (apply_obj(F, X, cap) if mark is None
                     else join_generators(F, mark, X, cap)).elements
@@ -174,10 +176,6 @@ class _Side:
         fn = compiled_path([self.interp.atom_step(atom, self.objects, generics)
                             for atom in self.rest], self.X, self.cap)
         return {e: fn(v) for e, v in zip(self.dom, self.values)}
-
-    def whole(self) -> "_Side":
-        """This side on the whole source carrier."""
-        return _Side(self.interp, self.path, self.objects, self.X, self.cap, None)
 
 
 def evaluate_cell(
@@ -227,22 +225,18 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
                       key=lambda g: g.name)
     cap = universe.carrier_cap
     mark = generator_mark(cell, interp)
-    rerun = False  # set once the first failing instance has run in full
 
     def ends(X: FinSet, objects: dict[str, FinSet]) -> list[tuple[FinSet, FinSet]]:
         return [tuple(apply_obj(interp.word_functor(w, objects), X, cap) for w in (g.src, g.tgt))
                 for g in generics]
 
     def composites(sides: list[_Side], *fs: FinFn) -> tuple[dict, dict]:
-        nonlocal rerun
         chosen = {g.name: fn for g, fn in zip(generics, fs)}
-        out = tuple(side.composite(chosen) for side in sides)
-        if mark is not None and not rerun and out[0] != out[1]:
-            # the generators decide equality exactly, so this is the instance
-            # compare takes its witness from: take it on the whole carrier
-            rerun = True
-            out = tuple(side.whole().composite(chosen) for side in sides)
-        return out
+        return tuple(side.composite(chosen) for side in sides)
+
+    def side_pair(X: FinSet, objects: dict[str, FinSet], at: Optional[int]) -> list[_Side]:
+        # both paths, on the join generators at ``at`` or the whole source
+        return [_Side(interp, path, objects, X, cap, at) for path in (cell.src, cell.tgt)]
 
     def cell_instances():
         for X in universe.objects[:1] if obj_names else universe.objects:
@@ -250,11 +244,11 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
                     universe, obj_names, lambda *combo: ends(X, dict(zip(obj_names, combo)))):
                 objects = dict(zip(obj_names, combo))
                 at = f"|X|={len(X)}" + "".join(f",{k}={len(v)}" for k, v in objects.items())
-                yield from instances(at, morphisms, composites, prepare=lambda: [
-                    _Side(interp, path, objects, X, cap, mark) for path in (cell.src, cell.tgt)])
+                on = partial(side_pair, X, objects)
+                yield from instances(at, morphisms, composites, prepare=partial(on, mark),
+                                     whole=None if mark is None else partial(on, None))
 
-    return compare(f"cell:{cell.name}", cell_instances(),
-                   None if mark is None else "join-generators")
+    return compare(f"cell:{cell.name}", cell_instances())
 
 
 def check_cells(

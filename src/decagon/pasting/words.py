@@ -29,12 +29,15 @@ class Word:
 
     @staticmethod
     def read(tokens: list) -> "Word":
-        """The word of a list of tokens, each one symbol and ``epsilon``
-        none: the one word reader, of signature files and of ``of``."""
+        """The word of a list of tokens, each one symbol, or the empty word
+        of the lone token ``epsilon``: the one word reader, of signature
+        files and of ``of``."""
+        if len(tokens) == 1 and tokens[0] == "epsilon":
+            return Word()
         for tok in tokens:
-            if not isinstance(tok, str) or not _PUNCTUATION.isdisjoint(tok):
+            if tok == "epsilon" or not isinstance(tok, str) or not _PUNCTUATION.isdisjoint(tok):
                 raise ValueError(f"not a word symbol: {tok!r}")
-        return Word(tuple(tok for tok in tokens if tok != "epsilon"))
+        return Word(tuple(tokens))
 
     @staticmethod
     def of(text: str) -> "Word":

@@ -5,7 +5,9 @@ carrier cap was evaluated equal; instances whose source carrier would be
 astronomically large (iterated powersets grow as towers of exponentials)
 are counted in ``skipped`` rather than silently ignored.  Every checker
 draws its instances with ``quantify``, settles each one in ``instances``
-and reaches its verdicts through the one kernel ``compare``.
+and reaches its verdicts through the one kernel ``compare``, whose one
+rule (``_settle``) counts each assignment's record (``Reduced``) and runs
+it again in full for a witness, whichever reduction drew it.
 
 ``P B`` is the free join-semilattice on ``B``, so an equation whose two
 sides preserve unions in each value of an arrow ``f: X -> P(B)`` holds for
@@ -18,9 +20,8 @@ counts the instances of the whole hom-set that they cover.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import prod
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
@@ -29,8 +30,11 @@ from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter
 
 DEFAULT_CARRIER_CAP = 200_000
 HOM_CAP = 4096
-# the reduction of an equation whose arrow f ranges over its generator-valued maps
+# the reductions a record may be drawn under: an equation whose arrow f
+# ranges over its generator-valued maps, and a cell checked on the join
+# generators of its source
 GENERATOR_VALUED_F = "generator-valued-f"
+JOIN_GENERATORS = "join-generators"
 
 
 @dataclass
@@ -100,9 +104,8 @@ class AxiomVerdict:
     checked: int
     skipped: int = 0
     witness: Optional[Witness] = None
-    # the reduction the instances ran under: "join-generators" for a cell
-    # checked on the join generators of its source, "generator-valued-f"
-    # for an equation whose arrow f ranged over its generator-valued maps
+    # the reduction its records were drawn under, if any (GENERATOR_VALUED_F
+    # or JOIN_GENERATORS)
     reduction: Optional[str] = None
 
     def as_dict(self) -> dict:
@@ -127,19 +130,16 @@ def _generator_values(Y: FinSet) -> list:
 
 @dataclass
 class Reduced:
-    """One object assignment whose generator-valued arrows range over their
-    generator-valued maps only.
+    """The record of one object assignment: the instances it draws
+    (``quantify``'s tuples of functions, or settled instances and records
+    once ``instances`` settles them) stand for ``covered`` instances of the
+    whole assignment, or each for one when it is None; ``full()``, when not
+    None, draws the whole assignment's, and ``reduction`` names the draw."""
 
-    ``generators`` iterates over those tuples of functions, with the other
-    arrows over their whole hom-sets; ``covered`` is the number of tuples of
-    the whole hom-sets they stand for; ``full()`` iterates over these when
-    every whole hom-set has at most ``HOM_CAP`` functions, and ``full`` is
-    None otherwise.  ``instances`` turns each tuple into a settled instance.
-    """
-
-    generators: Iterable
-    covered: int
-    full: Optional[Callable[[], Iterable]]
+    instances: Iterable
+    covered: Optional[int] = None
+    full: Optional[Callable[[], Iterable]] = None
+    reduction: Optional[str] = None
 
 
 def quantify(
@@ -161,9 +161,11 @@ def quantify(
     The arrows at the positions ``generator_valued``, each into a powerset
     carrier, range over their generator-valued maps only
     (``TestUniverse.generators``), and ``HOM_CAP`` applies to their count:
-    ``morphisms`` is then ``Reduced``.  The caller vouches that both sides
-    of its equation preserve unions in each value of such an arrow.  No
-    whole hom-set of such an arrow is built unless ``Reduced.full`` runs.
+    ``morphisms`` is then a ``Reduced`` record of the reduction
+    ``GENERATOR_VALUED_F``, whose full draw is the whole hom-sets' when
+    each has at most ``HOM_CAP`` functions.  The caller vouches that both
+    sides of its equation preserve unions in each value of such an arrow.
+    No whole hom-set of such an arrow is built unless the full draw runs.
     """
     def tuples(ends, reduced=()):
         return product(*(universe.generators(dom, cod) if i in reduced
@@ -184,7 +186,8 @@ def quantify(
             yield objects, tuples(ends)
         else:
             yield objects, Reduced(tuples(ends, generator_valued), prod(whole),
-                                   partial(tuples, ends) if max(whole) <= HOM_CAP else None)
+                                   partial(tuples, ends) if max(whole) <= HOM_CAP else None,
+                                   GENERATOR_VALUED_F)
 
 
 class Refused(Exception):
@@ -194,32 +197,36 @@ class Refused(Exception):
 
 def instances(at: str, morphisms: Optional[Iterable[tuple] | Reduced],
               sides: Callable[..., tuple] | dict[str, Callable[..., tuple]],
-              prepare: Optional[Callable[[], object]] = None) -> Iterator[tuple]:
-    """The settled instances of one object assignment of ``quantify``.
+              prepare: Optional[Callable[[], object]] = None,
+              whole: Optional[Callable[[], object]] = None) -> Iterator:
+    """The record of one object assignment of ``quantify``, settled.
 
-    ``(at, sides(*fs))`` per tuple ``fs`` of ``morphisms``: ``(at, None)``,
-    which ``compare`` counts as skipped, when the sides refuse, or
-    ``(at, error)``, a failing instance, when they do not compose.  A
-    hom-set over the cap (``morphisms`` None) is one skipped instance.
-    ``sides`` is a dict from a label, appended to ``at``, to the sides of
-    each equation when an instance states several.  ``prepare`` builds
-    what every instance of the assignment shares, once, and ``sides``
-    takes it first; when it refuses, every instance is skipped.  A
-    ``Reduced`` assignment is one ``(at, Reduced)`` whose streams are of
-    settled instances, for ``compare`` to count.
+    Its instances are ``(at, sides(*fs))`` per tuple ``fs`` of
+    ``morphisms``: ``(at, None)``, which ``compare`` counts as skipped,
+    when the sides refuse, or ``(at, error)``, a failing instance, when
+    they do not compose.  A hom-set over the cap (``morphisms`` None) is
+    one skipped instance.  ``sides`` is a dict from a label, appended to
+    ``at``, to the sides of each equation when an instance states several.
+    ``prepare`` builds what every instance of the assignment shares, once,
+    and ``sides`` takes it first; when it refuses, every instance is
+    skipped.  A ``Reduced`` ``morphisms`` keeps its count, full draw and
+    reduction.  ``whole`` builds on the whole carrier what ``prepare`` builds
+    on its join generators: each instance is then a record whose full draw
+    is itself on the whole carrier, and ``whole`` runs on the first draw.
     """
     if morphisms is None:
         return iter([(at, None)])
     labelled = sides.items() if isinstance(sides, dict) else [("", sides)]
-    equations = [(at + label, eq) for label, eq in labelled]
-    if prepare is not None:
-        try:
-            shared = prepare()
-            equations = [(where, partial(eq, shared)) for where, eq in equations]
-        except Refused:
-            equations = [(where, None) for where, _ in equations]
 
-    def settle(tuples: Iterable[tuple]) -> Iterator[tuple]:
+    def bound(make: Optional[Callable[[], object]]) -> list[tuple]:
+        equations = [(at + label, eq) for label, eq in labelled]
+        try:
+            shared = make and make()
+        except Refused:
+            return [(where, None) for where, _ in equations]
+        return equations if make is None else [(w, partial(eq, shared)) for w, eq in equations]
+
+    def settle(tuples: Iterable[tuple], equations: list[tuple]) -> Iterator[tuple]:
         for fs in tuples:
             for where, eq in equations:
                 settled = None
@@ -232,19 +239,29 @@ def instances(at: str, morphisms: Optional[Iterable[tuple] | Reduced],
                         settled = exc
                 yield where, settled
 
+    equations = bound(prepare)
+    if whole is not None:
+        on_whole = cache(lambda: bound(whole))
+
+        def one(fs: tuple) -> Reduced:
+            return Reduced(list(settle([fs], equations)), full=lambda: settle([fs], on_whole()))
+
+        return iter([Reduced(map(one, morphisms), reduction=JOIN_GENERATORS)])
     if type(morphisms) is not Reduced:
-        return settle(morphisms)
+        return iter([Reduced(settle(morphisms, equations))])
     full = morphisms.full
-    return iter([(at, Reduced(settle(morphisms.generators), morphisms.covered * len(equations),
-                              None if full is None else lambda: settle(full())))])
+    return iter([Reduced(settle(morphisms.instances, equations),
+                         morphisms.covered * len(equations),
+                         None if full is None else lambda: settle(full(), equations),
+                         morphisms.reduction)])
 
 
-def compare(axiom: str, instances: Iterable[tuple[str, object]],
-            reduction: Optional[str] = None) -> AxiomVerdict:
+def compare(axiom: str, instances: Iterable) -> AxiomVerdict:
     """The compare-and-witness kernel of every checker.
 
-    ``instances`` yields ``(at, sides)`` per instance: ``sides`` is None for
-    an instance that could not be evaluated, which counts as skipped, a
+    ``instances`` yields ``(at, sides)`` per instance, or the record of an
+    object assignment (``instances``): ``sides`` is None for an instance
+    that could not be evaluated, which counts as skipped, a
     ``CompositionError`` for one whose sides could not be composed, which
     fails, or the pair (lhs, rhs) of element maps over one source carrier,
     either dicts filled in canonical carrier order or ``FinFn`` tables.
@@ -252,71 +269,44 @@ def compare(axiom: str, instances: Iterable[tuple[str, object]],
     element, in that order, where its sides differ, or for ``FinFn`` sides
     that agree on every element, the boundary they differ in.  The verdict
     passes when there is no witness and at least one instance was
-    evaluated; it names the ``reduction`` its instances ran under.
-
-    ``sides`` may also be a ``Reduced`` assignment of settled instances
-    (``_tally_reduced``), so that the counts and the witness are those of
-    the whole hom-sets.
-
-    Automatic cyclic garbage collection is paused while ``instances`` is
-    consumed, which is where every checker builds its carriers and runs
-    its composites: hash-consed elements form no cycles, so the collector
-    would only re-walk the intern table.  The pause is process-wide, so
-    other threads allocate without it for the length of one verdict; a
-    nested ``compare`` or a caller that had collection off finds it as it
-    left it, and any cycle made meanwhile goes at the next collection.
+    evaluated; it names the reduction of the records it settled.
     """
-    counts = [0, 0]  # checked, skipped
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        witness = _tally(instances, counts, None)
-    finally:
-        if collecting:
-            gc.enable()
-    checked, skipped = counts
+    tally = [0, 0, None]  # checked, skipped, reduction
+    witness = _settle(Reduced(instances), tally, None)
+    checked, skipped, reduction = tally
     return AxiomVerdict(axiom, passed=witness is None and checked > 0, checked=checked,
                         skipped=skipped, witness=witness, reduction=reduction)
 
 
-def _tally(instances: Iterable[tuple[str, object]], counts: list[int],
-           witness: Optional[Witness]) -> Optional[Witness]:
-    """Adds the settled ``instances`` to ``counts`` (checked, skipped) and
-    returns ``witness``, or when it is None the first one they show."""
-    for at, sides in instances:
-        if sides is None:
-            counts[1] += 1
-        elif type(sides) is Reduced:
-            witness = _tally_reduced(sides, counts, witness)
-        else:
-            counts[0] += 1
-            if witness is None:
-                witness = _difference(at, sides)
-    return witness
+def _settle(r: Reduced, tally: list, witness: Optional[Witness]) -> Optional[Witness]:
+    """The one settle rule: adds what record ``r`` covers to ``tally``
+    (checked, skipped, reduction) and returns ``witness``, or when it is
+    None the first one they show, as the whole assignment would.
 
-
-def _tally_reduced(r: Reduced, counts: list[int],
-                   witness: Optional[Witness]) -> Optional[Witness]:
-    """Settles one reduced assignment as the whole hom-sets would.
-
-    When no generator instance refuses, every covered instance counts as
-    checked: one fails exactly when a generator instance does.  The first
-    assignment with a failing generator instance, and any with a refused
-    one, is run again on the whole hom-sets, for their witness and counts,
-    when they fit ``HOM_CAP``; where they do not, the witness is the first
-    failing generator instance's, and an assignment with a refused one
-    counts its generator instances as they settled.
+    With no refused instance the ``covered`` count as checked: one fails
+    exactly when a drawn instance does.  A refused one stands for an
+    unknown number of them, so ``r`` then settles as its full draw, if any.
+    A first witness is taken again from the full draw, if any.
     """
-    own = [0, 0]
-    found = _tally(r.generators, own, None)
-    if r.full is not None and (own[1] or (found is not None and witness is None)):
-        return _tally(r.full(), counts, witness)
-    if own[1]:
-        counts[0] += own[0]
-        counts[1] += own[1]
-    else:
-        counts[0] += r.covered
-    return witness or found
+    own = [0, 0, r.reduction]
+    found = witness
+    for item in r.instances:
+        if type(item) is Reduced:
+            found = _settle(item, own, found)
+        elif item[1] is None:
+            own[1] += 1
+        else:
+            own[0] += 1
+            if found is None:
+                found = _difference(*item)
+    if r.full is not None and own[1] and r.covered is not None:
+        return _settle(Reduced(r.full(), reduction=r.reduction), tally, witness)
+    if r.full is not None and found is not witness:
+        found = next(filter(None, (_difference(*i) for i in r.full() if i[1] is not None)), found)
+    tally[0] += own[0] if own[1] or r.covered is None else r.covered
+    tally[1] += own[1]
+    tally[2] = tally[2] or own[2]
+    return found
 
 
 def _difference(at: str, sides) -> Optional[Witness]:

@@ -308,9 +308,13 @@ def test_pasting_check_on_a_signature_without_axioms_is_a_configuration_error(ca
     "(signature (version 1) (alphabet T P) (arrow m (T T) (T))\n"
     "  (cell c (src [epsilon . m . epsilon]) (tgt [epsilon . m . epsilon]))\n"
     "  (axiom A (whisker Q (cell c) epsilon) (whisker Q (cell c) epsilon)))\n",
+    # epsilon inside a word, which would otherwise read as T P and pass
+    "(signature (version 1) (alphabet T P) (arrow lambda (T epsilon P) (P T))\n"
+    "  (cell c (src [epsilon . lambda . epsilon]) (tgt [epsilon . lambda . epsilon]))\n"
+    "  (axiom A (cell c) (cell c)))\n",
 ], ids=["unknown-arrow", "truncated", "trailing-content", "version", "duplicate-cell",
         "symbol-outside-alphabet-in-cell", "symbol-outside-alphabet-in-arrow",
-        "symbol-outside-alphabet-in-axiom"])
+        "symbol-outside-alphabet-in-axiom", "epsilon-inside-a-word"])
 def test_malformed_signature_exit_two(tmp_path, capsys, text):
     path = tmp_path / "bad.sexp"
     path.write_text(text)

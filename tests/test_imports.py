@@ -8,8 +8,7 @@ carrier, user input included, is sorted by ``FinSet``, and every other
 subset by ``Subset``.  Outside ``functors``, only ``join_generators``
 decides a carrier cap itself (``size_within``, ``OversizeCarrier``),
 because it must not build the carrier it decides on; everything else
-takes its carriers from ``apply_obj``, which decides the cap.
-Only ``report.compare`` pauses and resumes the cycle collector.  Only
+takes its carriers from ``apply_obj``, which decides the cap.  Only
 ``elements`` names its intern tables and its order-key memo, so their
 layout is decided in one module.  A transformation family is built only
 by ``formula``, ``tabulated``, ``derived`` or ``per_member``, the only
@@ -20,7 +19,11 @@ only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
 join generators a cell is checked on.  Likewise only ``extension`` records
 which unions an extension operator preserves (``Extension``), which
 ``kleisli`` passes on to its composition, and only ``report.quantify``
-builds the generator-valued hom-sets an arrow may range over.
+builds the generator-valued hom-sets an arrow may range over.  Only
+``report`` builds the record an object assignment reaches ``compare`` as
+(``Reduced``) or names a reduction, and only its ``instances`` and the
+kernel's ``_settle`` read a record's full draw, so a witness rerun has one
+home.
 Elements have one printer: only ``Element``, ``FinSet`` and ``FinFn``
 define ``__repr__`` in ``elements``, so every element prints through
 ``element_repr``.  Under ``pasting``, only ``words`` turns a word's symbols
@@ -86,13 +89,6 @@ def test_only_apply_obj_skips_the_carrier_sort():
 
 def test_only_apply_obj_skips_the_subset_sort():
     _only_apply_obj_calls_raw("Subset")
-
-
-def test_only_compare_pauses_the_cycle_collector():
-    uses = list(_uses(sorted(SRC.rglob("*.py")), "gc", {"disable", "enable"},
-                      "report.py", "compare"))
-    assert sum(inside for _, inside in uses) == 2  # the check sees the pause
-    assert [place for place, inside in uses if not inside] == []
 
 
 def _name(node) -> str | None:
@@ -165,6 +161,26 @@ def test_only_quantify_builds_generator_valued_hom_sets():
     assert set(_calls("generators")) == {("report.py", "quantify")}
     assert set(_calls("_generator_values")) == {("report.py", "quantify"),
                                                ("report.py", "TestUniverse")}
+
+
+def test_only_report_builds_a_record_and_only_the_kernel_reads_its_full_draw():
+    # so no checker keeps a witness rerun of its own beside the kernel's
+    assert set(_calls("Reduced")) == {("report.py", f)
+                                      for f in ("quantify", "instances", "compare", "_settle")}
+    reads, named = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                where = (path.relative_to(SRC).as_posix(), getattr(top, "name", None))
+                if isinstance(node, ast.Attribute) and node.attr == "full":
+                    reads.add(where)
+                if _name(node) in ("GENERATOR_VALUED_F", "JOIN_GENERATORS") or (
+                        isinstance(node, ast.Constant)
+                        and node.value in ("generator-valued-f", "join-generators")):
+                    named.add(where[0])
+    # instances settles the full draw quantify gives; _settle runs it
+    assert reads == {("report.py", "instances"), ("report.py", "_settle")}
+    assert named == {"report.py"}
 
 
 def test_only_join_generators_decides_a_carrier_cap_outside_functors():

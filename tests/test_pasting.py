@@ -224,6 +224,13 @@ def test_a_word_has_no_punctuation(text):
         Word.of(text)
 
 
+@pytest.mark.parametrize("text", ["T epsilon P", "epsilon T", "epsilon epsilon"])
+def test_only_a_lone_epsilon_is_the_empty_word(text):
+    assert Word.of("epsilon") == Word.of("") == Word(())
+    with pytest.raises(ValueError, match="epsilon"):
+        Word.of(text)
+
+
 def test_package_data_ships_the_signature_assets():
     tomllib = pytest.importorskip("tomllib")
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -758,3 +765,43 @@ def test_join_generators_give_the_full_verdict_of_the_largest_cell():
     got = evaluate_cell(cell, interp, U2)
     assert _row(got) == _row(_per_instance_verdict(cell, interp, U2))
     assert (got.checked, got.witness.at) == (3, "|X|=0")
+
+
+@pytest.mark.parametrize("make", [exception_over_powerset,
+                                  lambda: _per_member_law("one-member-to-error",
+                                                          _one_member_subsets_to_error)],
+                         ids=["passing", "mutant"])
+def test_a_reduced_cell_builds_its_whole_source_for_its_first_failing_instance_only(
+        make, monkeypatch):
+    # the kernel reruns the first failing instance on the whole carrier for
+    # its witness; no passing instance, refused instance or later failure
+    # builds the whole source, and a passing cell never does
+    from decagon.pasting.evaluate import _Side
+
+    interp = law_interpretation(make())
+    built, ran = [], []
+    init, composite = _Side.__init__, _Side.composite
+
+    def counting_init(self, *args):
+        self.on_whole = args[-1] is None  # no mark
+        built.append(self.on_whole)  # before a refusal can stop the build
+        init(self, *args)
+
+    def counting_composite(self, generics):
+        ran.append(self.on_whole)
+        return composite(self, generics)
+
+    monkeypatch.setattr(_Side, "__init__", counting_init)
+    monkeypatch.setattr(_Side, "composite", counting_composite)
+    failed = 0
+    for cap in (200_000, 300):  # at 300 some instances of each cell refuse
+        universe = TestUniverse.sizes(2)
+        universe.carrier_cap = cap
+        for name in sorted(_marks(SIG.cells, interp)):
+            built.clear()
+            ran.clear()
+            v = evaluate_cell(SIG.cells[name], interp, universe)
+            whole = 2 if v.witness is not None else 0  # one side per path
+            assert (built.count(True), ran.count(True)) == (whole, whole), name
+            failed += v.witness is not None
+    assert failed > 0 if interp.name == "one-member-to-error" else failed == 0

@@ -1,6 +1,6 @@
-"""The compare kernel pauses automatic cyclic collection for one verdict and
-leaves the collector as it found it; an arrow that ranges over its
-generator-valued maps gives the verdict of its whole hom-set."""
+"""The compare kernel leaves the collector as it found it; an arrow that
+ranges over its generator-valued maps gives the verdict of its whole
+hom-set."""
 
 import gc
 
@@ -41,56 +41,6 @@ def test_compare_leaves_the_collector_as_it_found_it_when_an_instance_raises(col
     with pytest.raises(RuntimeError, match="instance failed"):
         compare("axiom", raising())
     assert gc.isenabled() is collecting
-
-
-def test_nested_compare_keeps_collection_off_until_the_outer_one_returns():
-    gc.enable()
-    seen = []
-
-    def outer():
-        seen.append(gc.isenabled())
-        assert compare("inner", _agreeing()).passed
-        seen.append(gc.isenabled())
-        yield from _agreeing()
-
-    assert compare("outer", outer()).passed
-    assert seen == [False, False]
-    assert gc.isenabled()
-
-
-def test_sides_run_with_collection_paused():
-    gc.enable()
-    seen = []
-
-    def sides(x):
-        seen.append(gc.isenabled())
-        return {x: x}, {x: x}
-
-    assert compare("axiom", instances("|X|=1", [(A,), (A,)], sides)).checked == 2
-    assert seen == [False, False]
-
-
-def test_no_collection_runs_inside_compare():
-    # enough container allocations to trigger many young collections were
-    # automatic collection on
-    gc.enable()
-    events = []
-
-    def record(phase, info):
-        events.append((phase, info["generation"]))
-
-    def allocating():
-        for i in range(20):
-            junk = [[] for _ in range(2_000)]
-            yield f"|X|={i}", ({A: A}, {A: A})
-            del junk
-
-    gc.callbacks.append(record)
-    try:
-        assert compare("axiom", allocating()).checked == 20
-    finally:
-        gc.callbacks.remove(record)
-    assert events == []
 
 
 B = Atom("b")
