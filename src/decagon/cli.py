@@ -302,6 +302,8 @@ def _run_extend(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 
 def _run_search(args, monads, laws) -> tuple[int, dict, list[str]]:
+    if args.law and args.monad:
+        raise ConfigError("search takes --law NAME or --monad T --monad P, not both")
     if args.law:
         law = _law(laws, args.law, "search handles monad-monad pairs only")
         T, Pm = law.T, law.P

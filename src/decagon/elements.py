@@ -379,7 +379,3 @@ def iter_functions(X: FinSet, Y: FinSet,
 
 def all_functions(X: FinSet, Y: FinSet) -> list[FinFn]:
     return list(iter_functions(X, Y))
-
-
-def function_count(X: FinSet, Y: FinSet) -> int:
-    return len(Y) ** len(X)

@@ -1,8 +1,8 @@
 """Brute-force discovery and refutation of distributive-law candidates.
 
-Candidates are enumerated per object as raw component tables, filtered by
-naturality across all universe morphisms, one pair of objects at a time,
-then by the chosen axiom system.
+Candidates are built from their values at generic elements and carried
+along injections (``_natural_candidates``), kept when natural along the
+maps that are not injective, then filtered by the chosen axiom system.
 Results at finite sizes are evidence, never theorems: a nonempty survivor
 set says nothing about larger carriers, and reports say so.
 
@@ -14,13 +14,15 @@ the exhaustive checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import prod
 
 from .distlaw import DistLaw, check_algebra, check_beck, check_decagon
-from .elements import function_count, iter_functions
+from .elements import FinFn
 from .functors import apply_mor, apply_obj, compose_functors
 from .monads import MonadMonoidal
 from .report import LawReport, TestUniverse
-from .transforms import square_failure, tabulated
+from .transforms import check_naturality, tabulated
 
 EVIDENCE_NOTE = (
     "finite-size evidence only: survivors at these sizes need not extend to a law"
@@ -40,10 +42,14 @@ class SearchSpec:
     budget: int = 200_000
 
     def __post_init__(self):
+        if not (isinstance(self.T, MonadMonoidal) and isinstance(self.P, MonadMonoidal)):
+            raise ValueError("search handles monad-monad pairs only")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        if any(len(X) > 3 for X in self.universe.objects):
-            raise ValueError("search universes stop at size 3")
+        # the generic elements of an object are found from every smaller size
+        sizes = sorted(len(X) for X in self.universe.objects)
+        if sizes != list(range(len(sizes))) or len(sizes) > 4:
+            raise ValueError("search universes hold one object of each size 0..n, n at most 3")
 
 
 @dataclass
@@ -67,65 +73,65 @@ def _src_tgt(spec: SearchSpec) -> tuple:
 
 
 def raw_count(spec: SearchSpec) -> int:
+    """The number of families of component tables on the universe."""
     src, tgt = _src_tgt(spec)
-    total = 1
-    for X in spec.universe.objects:
-        total *= function_count(apply_obj(src, X), apply_obj(tgt, X))
-    return total
+    return prod(len(apply_obj(tgt, X)) ** len(apply_obj(src, X)) for X in spec.universe.objects)
+
+
+def _injective(f: FinFn) -> bool:
+    return len({f(x) for x in f.dom}) == len(f.dom)
 
 
 def _natural_candidates(spec: SearchSpec) -> list:
     """The natural candidates, in the order of the raw product of the
-    per-object pools.
+    per-object component tables.
 
-    A naturality square for f: X -> Y involves only the components at X
-    and Y, so the constraints are pairwise.  Each object's pool keeps the
-    tables that pass their endomorphism squares; a table pair of two
-    distinct objects is compatible when it passes the squares of the
-    morphisms between them in both directions.  A depth-first walk over
-    the filtered pools, in pool order, then yields exactly the natural
-    combinations of the raw product, in its order.
+    Every functor of the grammar preserves injections and their
+    intersections, so each element of F(X) is carried along an injection
+    from a generic element: one of F(W) that no injection from a smaller
+    object reaches, taken one per orbit of the bijections of W (Weber,
+    TAC 13, 2004).  A natural family is fixed by its values there, each an
+    element of G(W) that the generic element's stabiliser fixes.  Each
+    choice of values, carried along every injection, is a candidate
+    natural along injections by construction; ``check_naturality`` over
+    the maps that are not injective keeps the natural ones.
+    ``BudgetExceeded`` when the choices are more than the budget.
     """
     src, tgt = _src_tgt(spec)
-    objects = spec.universe.objects
-    index = {X: i for i, X in enumerate(objects)}
-    squares: dict[tuple[int, int], list] = {}
-    for f in spec.universe.all_morphisms():
-        key = (index[f.dom], index[f.cod])
-        squares.setdefault(key, []).append((apply_mor(src, f), apply_mor(tgt, f)))
+    universe = spec.universe
+    objects = sorted(universe.objects, key=len)
+    generic, values = [], []  # each orbit's (object, representative) and its values
+    reached = {}  # X -> {element of F(X): (orbit, G(i) for an injection i carrying it)}
+    for n, X in enumerate(objects):
+        at = reached[X] = {}
+        carry = {W: [(apply_mor(src, i), apply_mor(tgt, i))
+                     for i in universe.hom(W, X) if _injective(i)] for W in objects[:n + 1]}
+        for r, (W, g) in enumerate(generic):
+            at.update((fi(g), (r, gi)) for fi, gi in carry[W])
+        for e in apply_obj(src, X):
+            if e not in at:
+                fixed = [gi for fi, gi in carry[X] if fi(e) is e]
+                values.append([v for v in apply_obj(tgt, X) if all(gi(v) is v for gi in fixed)])
+                at.update((fi(e), (len(generic), gi)) for fi, gi in carry[X])
+                generic.append((X, e))
+    count = prod(map(len, values))
+    if count > spec.budget:
+        raise BudgetExceeded(f"generic choice count {count} exceeds budget {spec.budget} "
+                             f"(raw candidate count {raw_count(spec)})")
 
-    def passes(key, a, b) -> bool:
-        return all(square_failure(sf, tf, a, b) is None for sf, tf in squares.get(key, ()))
-
-    pools = [
-        [t for t in iter_functions(apply_obj(src, X), apply_obj(tgt, X)) if passes((i, i), t, t)]
-        for i, X in enumerate(objects)
-    ]
-    # compatible[j][i]: for i < j, the index pairs (a, b) of pools i and j
-    # whose tables pass every square between objects i and j
-    compatible = [
-        {i: {(a, b) for a, ta in enumerate(pools[i]) for b, tb in enumerate(pools[j])
-             if passes((i, j), ta, tb) and passes((j, i), tb, ta)}
-         for i in range(j) if (i, j) in squares or (j, i) in squares}
-        for j in range(len(objects))
-    ]
-
+    non_injective = [f for f in universe.all_morphisms() if not _injective(f)]
     natural = []
-    chosen: list[int] = []
-
-    def walk(j: int) -> None:
-        if j == len(objects):
-            tables = {X: pools[i][a] for i, (X, a) in enumerate(zip(objects, chosen))}
-            natural.append(tabulated(src, tgt, tables, name="candidate"))
-            return
-        for b in range(len(pools[j])):
-            if all((chosen[i], b) in pairs for i, pairs in compatible[j].items()):
-                chosen.append(b)
-                walk(j + 1)
-                chosen.pop()
-
-    walk(0)
-    return natural
+    for choice in product(*values):
+        tables = {X: FinFn(apply_obj(src, X), apply_obj(tgt, X),
+                           {e: gi(choice[r]) for e, (r, gi) in reached[X].items()})
+                  for X in universe.objects}
+        nt = tabulated(src, tgt, tables, name="candidate")
+        if check_naturality(nt, non_injective) is None:
+            natural.append(nt)
+    # the raw product orders tables by their values' positions in G(X)
+    position = {X: {v: k for k, v in enumerate(apply_obj(tgt, X))} for X in universe.objects}
+    return sorted(natural, key=lambda nt: [position[X][v] for X in universe.objects
+                                           for _, v in nt.component(X).pairs])
 
 
 def _axiom_systems(spec: SearchSpec) -> list[tuple[str, callable]]:
@@ -150,35 +156,24 @@ def _axiom_systems(spec: SearchSpec) -> list[tuple[str, callable]]:
 
 
 def enumerate_candidates(spec: SearchSpec) -> SearchResult:
-    """Exhaustively enumerate, filter by naturality, then by axioms.
+    """Enumerate the natural candidates, then filter them by axioms.
 
     With form "all" the monoidal and decagon systems are both applied and
-    their survivor sets compared; a mismatch raises, since their agreement
+    their survivor sets compared in ``forms_agree``, since their agreement
     is the cross-validation the search exists for.
     """
-    total = raw_count(spec)
-    if total > spec.budget:
-        raise BudgetExceeded(f"raw candidate count {total} exceeds budget {spec.budget}")
-
     natural = _natural_candidates(spec)
-
-    systems = _axiom_systems(spec)
-    per_axiom: dict[str, int] = {}
-    survivor_sets = []
-    for name, check in systems:
-        good = [c for c in natural if check(c).no_counterexample]
-        per_axiom[name] = len(good)
-        survivor_sets.append(good)
-    first = survivor_sets[0]
-    agree = all({id(c) for c in other} == {id(c) for c in first} for other in survivor_sets[1:])
+    survivors = {name: [c for c in natural if check(c).no_counterexample]
+                 for name, check in _axiom_systems(spec)}
+    first, *others = survivors.values()
     return SearchResult(
         spec_desc=f"T={spec.T.name} P={spec.P.name} form={spec.form} {spec.universe.describe()}",
         note=EVIDENCE_NOTE,
-        raw=total,
+        raw=raw_count(spec),
         natural=len(natural),
-        per_axiom=per_axiom,
+        per_axiom={name: len(good) for name, good in survivors.items()},
         survivors=first,
-        forms_agree=agree,
+        forms_agree=all({id(c) for c in other} == {id(c) for c in first} for other in others),
     )
 
 
@@ -196,8 +191,7 @@ def refute(candidate, spec: SearchSpec) -> LawReport:
             f"candidate boundaries {candidate.src!r} -> {candidate.tgt!r} do not match "
             f"{src!r} -> {tgt!r}"
         )
-    systems = _axiom_systems(spec)
-    report = systems[0][1](candidate)
+    report = _axiom_systems(spec)[0][1](candidate)
     out = LawReport(f"refute[{spec.form}]", spec.universe.describe())
     for v in report.verdicts:
         out.verdicts.append(v)

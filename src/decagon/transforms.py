@@ -277,36 +277,24 @@ def composite_map(
     return {e: fn(e) for e in dom.elements}
 
 
-def square_failure(
-    src_f: FinFn, tgt_f: FinFn, at_dom: FinFn, at_cod: FinFn
-) -> Optional[Element]:
-    """First element x, in the order of ``src_f``'s domain, where the
-    naturality square ``tgt_f . at_dom == at_cod . src_f`` fails, if any.
-
-    ``src_f`` and ``tgt_f`` are F(f) and G(f) for some f: X -> Y, and
-    ``at_dom``, ``at_cod`` the components F(X) -> G(X) and F(Y) -> G(Y).
-    """
-    sm, tm, am, bm = src_f._map, tgt_f._map, at_dom._map, at_cod._map
-    for x in src_f.dom.elements:
-        if tm[am[x]] is not bm[sm[x]]:
-            return x
-    return None
-
-
 def check_naturality(
     nt: NatTrans, morphisms: Iterable[FinFn]
 ) -> Optional[tuple[FinFn, Element]]:
-    """First naturality failure of nt against the given morphisms, if any;
-    a square whose component refuses (``report.Refused``) is skipped."""
+    """First naturality failure of nt against the given morphisms, if any:
+    the morphism f: X -> Y and the first element x of F(X), in its order,
+    where G(f)(nt_X(x)) and nt_Y(F(f)(x)) differ.  A square whose component
+    refuses (``report.Refused``) is skipped."""
     for f in morphisms:
         try:
-            at_dom = nt.component(f.dom)
-            at_cod = nt.component(f.cod)
+            am = nt.component(f.dom)._map
+            bm = nt.component(f.cod)._map
         except Refused:
             continue
-        x = square_failure(apply_mor(nt.src, f), apply_mor(nt.tgt, f), at_dom, at_cod)
-        if x is not None:
-            return (f, x)
+        src_f = apply_mor(nt.src, f)
+        sm, tm = src_f._map, apply_mor(nt.tgt, f)._map
+        for x in src_f.dom.elements:
+            if tm[am[x]] is not bm[sm[x]]:
+                return (f, x)
     return None
 
 

@@ -188,6 +188,29 @@ def test_search_budget_exit_two(capsys):
                 "--max-size", "2", "--budget", "10"]) == 2
 
 
+@pytest.mark.parametrize("law,raw", [("exception-over-powerset", 8388608),
+                                     ("writer-over-powerset", 1099511627776)])
+def test_search_reaches_the_powerset_laws_at_size_two(law, raw, capsys):
+    assert run(["search", "--law", law, "--max-size", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"] == {"raw": raw, "natural": 16, "beck": 1, "decagon": 1}
+    assert payload["survivors"] == 1
+    assert payload["registered_among_survivors"] is True
+    assert payload["forms_agree"] is True
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--monad", "coreader", "--monad", "powerset"], "monad-monad pairs only"),
+    (["--monad", "powerset", "--monad", "coreader"], "monad-monad pairs only"),
+    (["--law", "exception-over-powerset", "--monad", "maybe", "--monad", "powerset"],
+     "not both"),
+])
+def test_search_refuses_a_comonad_and_a_law_with_monads(args, message, capsys):
+    assert run(["search", *args, "--max-size", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_internal_error_exit_three(monkeypatch, capsys):
     def broken(args, monads, laws):
         raise RuntimeError("boom")

@@ -24,6 +24,10 @@ builds the generator-valued hom-sets an arrow may range over.  Only
 (``Reduced``) or names a reduction, and only its ``instances`` and the
 kernel's ``_settle`` read a record's full draw, so a witness rerun has one
 home.
+Only ``check_naturality`` compares naturality squares, reading a family's
+components at both ends of a morphism, and only ``search`` calls it, from
+the one enumeration ``_natural_candidates``, which builds candidates only
+through ``tabulated`` and enumerates no raw component tables.
 Elements have one printer: only ``Element``, ``FinSet`` and ``FinFn``
 define ``__repr__`` in ``elements``, so every element prints through
 ``element_repr``.  Under ``pasting``, only ``words`` turns a word's symbols
@@ -181,6 +185,23 @@ def test_only_report_builds_a_record_and_only_the_kernel_reads_its_full_draw():
     # instances settles the full draw quantify gives; _settle runs it
     assert reads == {("report.py", "instances"), ("report.py", "_settle")}
     assert named == {"report.py"}
+
+
+def test_only_check_naturality_compares_naturality_squares():
+    # a square reads a family's components at both ends of one morphism
+    ends = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and _name(node.func) == "component"
+                        and any(_name(arg) in ("dom", "cod") for arg in node.args)):
+                    ends.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None)))
+    assert ends == {("transforms.py", "check_naturality")}
+    assert set(_calls("check_naturality")) == {("search.py", "_natural_candidates")}
+    built = {(place, name) for name in ("NatTrans", "formula", "tabulated", "derived",
+                                        "per_member", "iter_functions", "all_functions")
+             for place in _calls(name) if place[0] == "search.py"}
+    assert built == {(("search.py", "_natural_candidates"), "tabulated")}
 
 
 def test_only_join_generators_decides_a_carrier_cap_outside_functors():
