@@ -34,6 +34,7 @@ from .distlaw import (
     monoidal_to_algebra,
     noiter_to_algebra,
 )
+from .functors import OversizeCarrier
 from .monads import (
     ComonadMonoidal,
     builtin_monads,
@@ -320,7 +321,7 @@ def _run_search(args, monads, laws) -> tuple[int, dict, list[str]]:
     try:
         spec = SearchSpec(T, Pm, form=args.form, universe=universe, budget=args.budget)
         result = enumerate_candidates(spec)
-    except (BudgetExceeded, ValueError) as exc:
+    except (BudgetExceeded, OversizeCarrier, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     extra = {
         "note": result.note,

@@ -157,14 +157,18 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
     through P's extension, once per call; an instance that refuses, such
     as one that needs an unavailable component, is skipped.  When ``op``
     is ``linear_in_values`` (``algebra_to_noiter`` of a registered law),
-    both sides of op-unit preserve unions in each value of f, and so do
-    those of op-composition when P's extension also ``joins``; f then
+    both sides of op-unit preserve unions in each value of f.  Those of
+    op-composition do in each value of f when P's extension also
+    ``joins``, and in each value of g when it is also ``linear_in_values``
+    (P's multiplication splits unions in each member).  Such an arrow
     ranges over its generator-valued maps (``report.quantify``)."""
     T, P, TF = D.T, D.P, D.T.functor
     op = cache(D.op)
     op_p = cache(lambda g: P.ext(op(g)))
     reduce_unit = isinstance(D.op, Extension) and D.op.linear_in_values
-    reduce_comp = reduce_unit and isinstance(P.ext, Extension) and P.ext.joins
+    shown = reduce_unit and isinstance(P.ext, Extension)
+    reduce_g = (0,) if shown and P.ext.linear_in_values else ()
+    reduce_f = (1,) if shown and P.ext.joins else ()
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, P.obj(apply_obj(TF, Y))
@@ -188,7 +192,7 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
 
     def ax_comp():
         for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)],
-                                       generator_valued=(1,) if reduce_comp else ()):
+                                       generator_valued=reduce_g + reduce_f):
             yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
                                  op_composition)
 

@@ -83,9 +83,11 @@ class Category:
     obj: Callable[[FinSet], FinSet]
     compose: Callable[[FinFn, FinFn], FinFn]
     identity: Callable[[FinSet], FinFn]
-    # compose(g, f) preserves unions in each value of f, which lie in a
-    # powerset carrier: set by ``kleisli`` over an extension that joins
+    # compose(g, f) preserves unions in each value of f (``joins``), and in
+    # each value of g (``linear_in_values``), which lie in powerset
+    # carriers: set by ``kleisli`` from the records of its ``Extension``
     joins: bool = False
+    linear_in_values: bool = False
 
 
 def _finset_compose(g: FinFn, f: FinFn) -> FinFn:
@@ -137,21 +139,26 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 
     Each distinct morphism is extended once per call; an instance that
     refuses, such as one that needs an unavailable component, is skipped.
-    When ``M.ext`` is ``linear_in_values`` and the ambient composition
-    ``joins`` (the Kleisli extension of a registered law), both sides of
-    extension-composition preserve unions in each value of f, so f ranges
-    over its generator-valued maps (``report.quantify``).  extension-unit
-    keeps the whole hom-set: its left side puts ext(f) first in the ambient
-    composition, where nothing records that it preserves unions."""
+    When ``M.ext`` is ``linear_in_values`` (the Kleisli extension of a
+    registered law), an arrow into the ambient category ranges over its
+    generator-valued maps (``report.quantify``) wherever the ambient
+    composition shows both sides linear in it: f of extension-composition
+    when that composition ``joins``, and g of extension-composition and f
+    of extension-unit, which it puts first, when it is itself
+    ``linear_in_values`` (the Kleisli category of P, whose multiplication
+    splits unions in each member)."""
     amb = M.ambient
     ext = cache(M.ext)
-    reduce_f = isinstance(M.ext, Extension) and M.ext.linear_in_values and amb.joins
+    linear = isinstance(M.ext, Extension) and M.ext.linear_in_values
+    reduce_first = (0,) if linear and amb.linear_in_values else ()
+    reduce_second = (1,) if linear and amb.joins else ()
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, amb.obj(M.obj(Y))
 
     def extension_unit():
-        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)]):
+        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)],
+                                   generator_valued=reduce_first):
             uX = M.unit_at(X)
             yield from instances(f"f:{len(X)}->{len(Y)}", fs,
                                  lambda f: (amb.compose(ext(f), uX), f))
@@ -167,7 +174,7 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
 
     def composition():
         for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)],
-                                       generator_valued=(1,) if reduce_f else ()):
+                                       generator_valued=reduce_first + reduce_second):
             yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
                                  extension_composition)
 
@@ -225,12 +232,14 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Categ
             raise ConstructionRefused(f"extensive laws fail for {M.name}: {failing}")
     base = M.ambient
     cached_ext = cache(M.ext)
+    records = isinstance(M.ext, Extension) and base is BASE_CATEGORY
     return Category(
         name=f"kleisli({M.name})",
         obj=lambda Y: base.obj(M.obj(Y)),
         compose=lambda g, f: base.compose(cached_ext(g), f),
         identity=lambda X: M.unit_at(X),
-        joins=base is BASE_CATEGORY and isinstance(M.ext, Extension) and M.ext.joins,
+        joins=records and M.ext.joins,
+        linear_in_values=records and M.ext.linear_in_values,
     )
 
 
@@ -366,13 +375,14 @@ def reader_monad(labels: Iterable[str]) -> MonadMonoidal:
 
 
 def powerset_monad() -> MonadMonoidal:
-    """The union of a set of sets is the union, over its members {S}, of S."""
+    """The union of a set of sets is the union of its members, each its
+    own share (``per_member`` with no rule)."""
     T = Power()
     return MonadMonoidal(
         "powerset",
         T,
         formula(Id(), T, lambda e: Subset((e,)), name="u"),
-        per_member(compose_functors(T, T), T, lambda e: e._members[0], name="m"),
+        per_member(compose_functors(T, T), T, name="m"),
     )
 
 

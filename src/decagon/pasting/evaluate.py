@@ -149,27 +149,35 @@ def join_generators(F: FunctorExpr, mark: int, X: FinSet, cap: int) -> FinSet:
 class _Side:
     """One path of a cell at one object assignment and ambient object X.
 
-    The source, the whole carrier or with a ``mark`` its join generators,
-    is pushed through the longest prefix of the path that has no generic
-    arrow once, on construction; for a path without generic arrows that is
-    the whole path.  ``composite`` compiles and runs the remaining steps for
-    one choice of the generic arrows' functions.
+    The longest prefix of the path that has no generic arrow is compiled on
+    construction, and ``push`` pushes the source, the whole carrier or with
+    a ``mark`` its join generators, through it once, dropping each step
+    and its memos once the source has passed it; for a path without generic
+    arrows that prefix is the whole path.
+    ``composite`` compiles and runs the remaining steps for one choice of
+    the generic arrows' functions.
     """
 
     def __init__(self, interp: Interpretation, path: Path, objects: dict[str, FinSet],
                  X: FinSet, cap: int, mark: Optional[int]):
         self.interp, self.objects, self.X, self.cap = interp, objects, X, cap
-        F = interp.word_functor(path.start, objects)
-        self.dom = (apply_obj(F, X, cap) if mark is None
-                    else join_generators(F, mark, X, cap)).elements
+        self.start, self.mark = interp.word_functor(path.start, objects), mark
         atoms = path.atoms
         prefix = next((i for i, a in enumerate(atoms) if a.gen.name not in interp.arrows),
                       len(atoms))
-        values = self.dom
-        for atom in atoms[:prefix]:
-            fn = compiled_step(interp.atom_step(atom, objects, {}), X, cap)
+        self.prefix = [compiled_step(interp.atom_step(atom, objects, {}), X, cap)
+                       for atom in atoms[:prefix]]
+        self.rest = atoms[prefix:]
+
+    def push(self) -> "_Side":
+        F, X, cap = self.start, self.X, self.cap
+        self.dom = values = (apply_obj(F, X, cap) if self.mark is None
+                             else join_generators(F, self.mark, X, cap)).elements
+        while self.prefix:
+            fn = self.prefix.pop(0)
             values = [fn(v) for v in values]
-        self.values, self.rest = values, atoms[prefix:]
+        self.values = values
+        return self
 
     def composite(self, generics: dict[str, FinFn]) -> dict:
         """The path's composite at X, the generic arrows taking ``generics``."""
@@ -197,9 +205,10 @@ def evaluate_cell(
     longest generic-free prefix of each path once, before the loop over
     the generic arrows' functions; if that part refuses (oversize carrier,
     missing component) every instance of the assignment is skipped, and so
-    is the assignment when a generic arrow's boundary is over the cap.  The steps from the first
-    generic arrow on are compiled per instance, so their memos never
-    outlive it."""
+    is the assignment when a generic arrow's boundary is over the cap.
+    Both paths' prefixes compile before either pushes, so a refusal costs
+    no push.  The steps from the first generic arrow on are compiled per
+    instance, so their memos never outlive it."""
     atoms = cell.src.atoms + cell.tgt.atoms
     words = [cell.src.start, cell.tgt.start] + [a.tgt for a in atoms]
     depth = max(sum(1 for s in w.symbols if s in interp.functors) for w in words)
@@ -236,7 +245,8 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
 
     def side_pair(X: FinSet, objects: dict[str, FinSet], at: Optional[int]) -> list[_Side]:
         # both paths, on the join generators at ``at`` or the whole source
-        return [_Side(interp, path, objects, X, cap, at) for path in (cell.src, cell.tgt)]
+        sides = [_Side(interp, path, objects, X, cap, at) for path in (cell.src, cell.tgt)]
+        return [side.push() for side in sides]
 
     def cell_instances():
         for X in universe.objects[:1] if obj_names else universe.objects:

@@ -30,9 +30,9 @@ from .elements import CompositionError, FinFn, FinSet, atoms, element_repr, iter
 
 DEFAULT_CARRIER_CAP = 200_000
 HOM_CAP = 4096
-# the reductions a record may be drawn under: an equation whose arrow f
-# ranges over its generator-valued maps, and a cell checked on the join
-# generators of its source
+# the reductions a record may be drawn under: an equation whose arrows
+# into a powerset carrier, f and g alike, range over their generator-valued
+# maps, and a cell checked on the join generators of its source
 GENERATOR_VALUED_F = "generator-valued-f"
 JOIN_GENERATORS = "join-generators"
 

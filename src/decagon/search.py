@@ -162,6 +162,7 @@ def enumerate_candidates(spec: SearchSpec) -> SearchResult:
     their survivor sets compared in ``forms_agree``, since their agreement
     is the cross-validation the search exists for.
     """
+    raw = raw_count(spec)  # builds every carrier, so one over the cap refuses at once
     natural = _natural_candidates(spec)
     survivors = {name: [c for c in natural if check(c).no_counterexample]
                  for name, check in _axiom_systems(spec)}
@@ -169,7 +170,7 @@ def enumerate_candidates(spec: SearchSpec) -> SearchResult:
     return SearchResult(
         spec_desc=f"T={spec.T.name} P={spec.P.name} form={spec.form} {spec.universe.describe()}",
         note=EVIDENCE_NOTE,
-        raw=raw_count(spec),
+        raw=raw,
         natural=len(natural),
         per_axiom={name: len(good) for name, good in survivors.items()},
         survivors=first,

@@ -14,13 +14,15 @@ instance.  A ``derived`` family is a path of whiskered ``Step``s, run by
 ``per_member`` family is a union over the members of one marked subset of
 its input; no family is built any other way than by these four.
 
-A family's ``linear`` position says that it preserves unions in the
-subset at that factor of its source, into the subset at the head of its
-target, so that it is fixed by its values on the empty set and the
-singletons there.  It comes only from construction: ``per_member`` sets
-it, and ``derived`` reads it off its steps with ``carry_mark``.  A
+A family's ``linear`` marks are factors of its source at which it splits
+unions: in each subset there (one behind one-position factors, one per
+member behind a P), into the subset at the head of its target, so that it
+is fixed by its values on the empty set and the singletons there.  They
+come only from construction: ``per_member`` sets them, the P inside its
+marked one too when each member is its own share (P's multiplication),
+and ``derived`` reads its mark off its steps with ``carry_mark``.  A
 ``formula`` or ``tabulated`` family has none.  ``extension`` reads its
-family's position to record, on the operator it builds, which unions the
+family's marks to record, on the operator it builds, which unions the
 operator preserves (``Extension``).
 """
 
@@ -62,7 +64,7 @@ class NatTrans:
     name: str = ""
     needs_object: bool = False
     tabulated_objects: Optional[list[FinSet]] = None
-    linear: Optional[int] = None
+    linear: frozenset = frozenset()
 
     def component(self, X: FinSet) -> FinFn:
         """Materialised component table at X; ``OversizeCarrier`` before
@@ -169,33 +171,40 @@ def carry_mark(steps: Sequence[Step], mark: int) -> Optional[int]:
     which preserves unions whatever its family.  A step that reaches the
     mark must be a family linear at it, which moves the mark to the head of
     its target, the end of the step's prefix.  Any other step, one that
-    acts in front of the mark or reaches it with no ``linear`` there, fails.
+    acts in front of the mark or reaches it with no ``linear`` mark there,
+    fails.
     """
     for s in steps:
         at = len(factors(s.prefix))
         if mark < at:
             continue
-        if s.nt.linear is None or mark != at + s.nt.linear:
+        if mark - at not in s.nt.linear:
             return None
         mark = at
     return mark
 
 
-def per_member(src: FunctorExpr, tgt: FunctorExpr, rule: Callable[[Element], Element],
-               name: str = "") -> NatTrans:
+def per_member(src: FunctorExpr, tgt: FunctorExpr,
+               rule: Optional[Callable[[Element], Element]] = None, name: str = "") -> NatTrans:
     """Family whose value at an element is the union, over the members a
     of the subset at its marked factor (``functors.marked_power``, at most
     one factor deep), of ``rule`` at the element with {a} in that subset's
     place; an element with no subset there (inr e) goes to ``rule`` as it
     is.  ``rule`` returns a subset.  The family preserves unions in the
     marked subset by construction, so this is the one constructor that
-    sets ``linear``.  Each member's share is computed once per component,
-    as ``compiled_action``'s memos keep theirs."""
+    sets ``linear``.  With no ``rule`` the marked subset is the head of
+    ``src`` and its members are subsets, each its own share: the family is
+    the union of the members (P's multiplication), which splits unions in
+    each member too, so it is also linear at the P inside the marked one.
+    Each member's share is computed once per component, as
+    ``compiled_action``'s memos keep theirs."""
     at = marked_power(src)
-    if at is None or at > 1 or marked_power(tgt) != 0:
+    fs = factors(src)
+    if at is None or at > 1 or marked_power(tgt) != 0 or rule is None and (
+            at or fs[1:2] != [Power()]):
         raise ValueError(f"{name or 'family'}: {src!r} -> {tgt!r} has no marked subset "
                          "to take members of")
-    open_, put = _hole(factors(src)[0] if at else None)
+    open_, put = _hole(fs[0] if at else None)
 
     def rule_at(X: FinSet) -> Callable[[Element], Element]:
         shares: dict = {}  # context -> member -> the members of its share
@@ -212,13 +221,14 @@ def per_member(src: FunctorExpr, tgt: FunctorExpr, rule: Callable[[Element], Ele
             for a in S._members:
                 share = row.get(a)
                 if share is None:
-                    share = row[a] = rule(put(c, Subset((a,))))._members
+                    share = row[a] = (a if rule is None else rule(put(c, Subset((a,)))))._members
                 out += share
             return Subset(out)
 
         return fn
 
-    return NatTrans(src, tgt, rule_at, name=name, linear=at)
+    return NatTrans(src, tgt, rule_at, name=name,
+                    linear=frozenset({at, at + 1} if rule is None else {at}))
 
 
 def _hole(F: Optional[FunctorExpr]):
@@ -257,7 +267,8 @@ def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatT
 
     return NatTrans(src, tgt, rule, name=name, needs_object=any(nt.needs_object for nt in families),
                     tabulated_objects=list(dict.fromkeys(objects)) or None,
-                    linear=at if at is not None and carry_mark(steps, at) == 0 else None)
+                    linear=frozenset({at} if at is not None and carry_mark(steps, at) == 0
+                                     else ()))
 
 
 def composite_map(
@@ -329,11 +340,12 @@ def extension(c: NatTrans, T: FunctorExpr) -> Extension:
     of the operator, so the memo of its compiled action is reused.
 
     The operator is ``linear_in_values`` when c is linear at the P just
-    behind T's factors, which ``marked_power`` allows only when they are
-    all one-position: T(f) puts at most one value f(x) in that P, and c
-    splits unions there (a registered law's alpha).  Each ext(f) ``joins``
+    behind T's factors, where T(f) puts the values f(x): c splits unions in
+    each member there, whether T's factors are one-position and hold one
+    value (a registered law's alpha) or T is P and each member of its
+    subset is a value (P's own multiplication).  Each ext(f) ``joins``
     when T's head factor is P and c is linear at it: T(f) is a direct image
-    there, which preserves unions, and so does c (P's own multiplication).
+    there, which preserves unions, and so does c (P's multiplication).
     """
     memo: dict = {}
 
@@ -352,5 +364,5 @@ def extension(c: NatTrans, T: FunctorExpr) -> Extension:
         return FinFn._raw(dom, f.cod, {e: c_fn(tf(e)) for e in dom.elements})
 
     fs = factors(T)
-    return Extension(ext, linear_in_values=c.linear == len(fs),
-                     joins=c.linear == 0 and bool(fs) and isinstance(fs[0], Power))
+    return Extension(ext, linear_in_values=len(fs) in c.linear,
+                     joins=0 in c.linear and bool(fs) and isinstance(fs[0], Power))

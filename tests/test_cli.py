@@ -211,6 +211,28 @@ def test_search_refuses_a_comonad_and_a_law_with_monads(args, message, capsys):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("pair", [("powerset", "powerset"), ("reader", "powerset"),
+                                  ("powerset", "reader")])
+def test_search_on_a_carrier_over_the_cap_is_a_configuration_error(pair, capsys):
+    # the algebra form's source TPT is over the cap at size 3 for these pairs
+    args = ["search", "--monad", pair[0], "--monad", pair[1], "--max-size", "3"]
+    assert run([*args, "--form", "algebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: carrier exceeds cap 200000\n"
+
+
+def test_extend_kleisli_covers_every_writer_instance_at_size_three(capsys):
+    # extension-unit and extension-composition range each arrow over its
+    # generator-valued maps, so no hom-set is over HOM_CAP
+    assert run(["extend-kleisli", "--law", "writer-over-powerset", "--max-size", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exhaustive"] is True
+    assert [(v["axiom"], v["skipped"], v.get("reduction")) for v in payload["verdicts"]] == [
+        ("extension-unit", 0, "generator-valued-f"), ("unit-extension", 0, None),
+        ("extension-composition", 0, "generator-valued-f")]
+
+
 def test_internal_error_exit_three(monkeypatch, capsys):
     def broken(args, monads, laws):
         raise RuntimeError("boom")

@@ -449,15 +449,49 @@ def _dropping_law() -> DistLaw:
                    per_member(good.lam.src, good.lam.tgt, rule, name="dropping"))
 
 
+def _union_dropping_law() -> DistLaw:
+    """exception-dist over a powerset whose multiplication drops every
+    member with two or more elements: built by ``per_member`` at the outer
+    P, so linear there, but its rule does not split unions in its member."""
+    from decagon.distlaw import _BUILTIN_COMPONENTS
+    from decagon.monads import MonadMonoidal
+    from decagon.transforms import per_member
+
+    T, good = builtin_monads()["exception"], powerset_monad()
+
+    def rule(e):
+        S = e._members[0]
+        return S if len(S._members) < 2 else Subset(())
+
+    P = MonadMonoidal("union-dropping", good.functor, good.unit,
+                      per_member(good.mult.src, good.mult.tgt, rule, name="union-dropping"))
+    return DistLaw("union-dropping", T, P, _BUILTIN_COMPONENTS["exception-dist"](T, P))
+
+
+def _error_adding_alpha() -> DistLawAlgebra:
+    """The exception law's alpha, built by ``per_member`` at its P, that
+    adds inr(e) beside each member inl(y) of the subset in inl(S)."""
+    from decagon.transforms import per_member
+
+    good = monoidal_to_algebra(exception_over_powerset())
+
+    def rule(e):
+        t = e.value._members[0] if type(e) is Inl else e
+        return subset([t, Inr(Atom("e"))] if type(t) is Inl else [t])
+
+    return DistLawAlgebra("error-adding", good.T, good.P,
+                          per_member(good.alpha.src, good.alpha.tgt, rule, name="error-adding"))
+
+
 def _operator_forms(law):
-    """The no-iteration form and the Kleisli extension of ``law``, each
-    beside a reference whose operator is wrapped in a plain lambda, so that
-    it shows no linearity and quantifies every arrow over its whole
-    hom-set."""
+    """The no-iteration form and the Kleisli extension of ``law``, in lambda
+    or algebra form, each beside a reference whose operator is wrapped in a
+    plain lambda, so that it shows no linearity and quantifies every arrow
+    over its whole hom-set."""
     from decagon.distlaw import DistLawNoIteration, extend_to_kleisli
     from decagon.monads import MonadExtensive
 
-    alg = monoidal_to_algebra(law)
+    alg = law if isinstance(law, DistLawAlgebra) else monoidal_to_algebra(law)
     ni, M = algebra_to_noiter(alg), extend_to_kleisli(alg)
     return [
         (check_noiter, ni, DistLawNoIteration(ni.name, ni.T, ni.P, lambda f: ni.op(f))),
@@ -479,13 +513,54 @@ def test_generator_valued_f_gives_the_full_verdict(make, size):
         assert [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in got.verdicts] == \
             [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in want.verdicts]
         assert {v.axiom for v in got.verdicts if v.reduction == "generator-valued-f"} == \
-            {"op-unit", "op-composition", "extension-composition"} & {v.axiom for v in got.verdicts}
+            {"op-unit", "op-composition", "extension-unit", "extension-composition"} & \
+            {v.axiom for v in got.verdicts}
         assert all(v.reduction is None for v in want.verdicts)
+
+
+def _full_verdicts(make, size):
+    """Per operator form of ``make()``, its reduced and its reference
+    verdict rows at universe size ``size``, and the reduced axioms."""
+    U = TestUniverse.sizes(size)
+    for check, reduced, reference in _operator_forms(make()):
+        got, want = check(reduced, U), check(reference, U)
+        yield ([(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in got.verdicts],
+               [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in want.verdicts],
+               {v.axiom for v in got.verdicts if v.reduction == "generator-valued-f"})
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_a_multiplication_that_does_not_split_members_keeps_the_whole_hom_sets(size):
+    # the mutant is linear at its outer P only: f still ranges over its
+    # generators, g and the f of extension-unit over their whole hom-sets,
+    # and every verdict is the full quantifier's
+    law = _union_dropping_law()
+    assert law.P.mult.linear == {0}
+    ext = monoidal_to_extensive(law.P).ext
+    assert ext.joins and not ext.linear_in_values
+    for got, want, reduced in _full_verdicts(_union_dropping_law, size):
+        assert got == want
+        assert "extension-unit" not in reduced
+    assert not check_monad_extensive(monoidal_to_extensive(law.P), U2).ok
+
+
+def test_a_per_member_alpha_mutant_is_caught_wherever_the_full_quantifier_catches_it():
+    # with f = {inl(y)} and g(y) = {}, op(g) after op(f) adds inr(e) and op
+    # of the composite does not: the reduced g and f reach that instance
+    assert _error_adding_alpha().alpha.linear == {1}
+    caught = set()
+    for size in (0, 1, 2):
+        for got, want, reduced in _full_verdicts(_error_adding_alpha, size):
+            assert got == want
+            assert {"op-composition", "extension-composition"} & {a for a, *_ in got} <= reduced
+            caught |= {(size, a) for a, passed, *_ in got if not passed}
+    assert {(size, a) for size in (1, 2) for a in ("op-composition", "extension-composition")} \
+        <= caught
 
 
 def test_the_dropping_law_fails_every_operator_axiom():
     law = _dropping_law()
-    assert monoidal_to_algebra(law).alpha.linear == 1
+    assert monoidal_to_algebra(law).alpha.linear == {1}
     for check, reduced, reference in _operator_forms(law):
         for report in (check(reduced, U2), check(reference, U2)):
             assert not any(v.passed for v in report.verdicts), report.summary()
@@ -504,12 +579,13 @@ def test_only_operators_built_from_linear_parts_range_f_over_generators():
 
     for law in (exception_over_powerset(), writer_over_powerset()):
         alg = monoidal_to_algebra(law)
-        assert alg.alpha.linear == 1
+        assert alg.alpha.linear == {1}
         ni, M = algebra_to_noiter(alg), extend_to_kleisli(alg)
         assert isinstance(ni.op, Extension) and ni.op.linear_in_values
-        assert isinstance(M.ext, Extension) and M.ext.linear_in_values and M.ambient.joins
+        assert isinstance(M.ext, Extension) and M.ext.linear_in_values
+        assert M.ambient.joins and M.ambient.linear_in_values
         assert reduced(check_noiter(ni, U1)) == ["op-unit", "op-composition"]
-        assert reduced(check_monad_extensive(M, U1)) == ["extension-composition"]
+        assert reduced(check_monad_extensive(M, U1)) == ["extension-unit", "extension-composition"]
 
     law = exception_over_powerset()
     alg = monoidal_to_algebra(law)
@@ -518,8 +594,11 @@ def test_only_operators_built_from_linear_parts_range_f_over_generators():
     # the same element formula, which needs no object, with no linearity
     formula_alpha = DistLawAlgebra(law.name, law.T, law.P,
                                    formula(alg.alpha.src, alg.alpha.tgt, alg.alpha.rule(None)))
+    # P's multiplication splits unions in its input and in each member, but
+    # composition in the base category records neither
     powerset = monoidal_to_extensive(powerset_monad())
-    assert powerset.ext.joins and not powerset.ext.linear_in_values
+    assert powerset.ext.joins and powerset.ext.linear_in_values
+    assert powerset_monad().mult.linear == {0, 1}
     for report in (check_noiter(DistLawNoIteration(law.name, law.T, ni.P, lambda f: ni.op(f)), U1),
                    check_noiter(algebra_to_noiter(tabulated_alpha), U1),
                    check_noiter(algebra_to_noiter(formula_alpha), U1),

@@ -14,11 +14,12 @@ layout is decided in one module.  A transformation family is built only
 by ``formula``, ``tabulated``, ``derived`` or ``per_member``, the only
 callers of ``NatTrans``, and only ``transforms`` and ``functors`` use
 ``compiled_action``: a family's linearity can then be read off how it was
-built.  Only ``per_member`` gives a family its ``linear`` position and
+built.  Only ``per_member`` gives a family its ``linear`` marks and
 only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
 join generators a cell is checked on.  Likewise only ``extension`` records
 which unions an extension operator preserves (``Extension``), which
-``kleisli`` passes on to its composition, and only ``report.quantify``
+``kleisli`` passes on to its composition, the one ``Category`` with such
+a record, and only ``report.quantify``
 builds the generator-valued hom-sets an arrow may range over.  Only
 ``report`` builds the record an object assignment reaches ``compare`` as
 (``Reduced``) or names a reduction, and only its ``instances`` and the
@@ -157,8 +158,12 @@ def test_only_extension_records_which_unions_an_operator_preserves():
                     places.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None),
                                 node.arg))
     assert set(_calls("Extension")) == {("transforms.py", "extension")}
-    assert places == {("transforms.py", "extension", "linear_in_values"),
-                      ("transforms.py", "extension", "joins"), ("monads.py", "kleisli", "joins")}
+    assert places == {(module, where, record) for module, where in
+                      (("transforms.py", "extension"), ("monads.py", "kleisli"))
+                      for record in ("linear_in_values", "joins")}
+    # the base category (a module-level assignment), which records neither,
+    # and the Kleisli categories
+    assert set(_calls("Category")) == {("monads.py", None), ("monads.py", "kleisli")}
 
 
 def test_only_quantify_builds_generator_valued_hom_sets():

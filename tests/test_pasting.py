@@ -805,3 +805,39 @@ def test_a_reduced_cell_builds_its_whole_source_for_its_first_failing_instance_o
             assert (built.count(True), ran.count(True)) == (whole, whole), name
             failed += v.witness is not None
     assert failed > 0 if interp.name == "one-member-to-error" else failed == 0
+
+
+def test_a_side_that_refuses_pushes_no_element(monkeypatch):
+    # under a lambda tabulated on sizes 0 and 1 only, the decagon's target
+    # path needs a component at an object of size 4 and refuses; both
+    # paths compile their prefixes before either pushes its source, so the
+    # 65,536 elements of TPTPT(0) under powerset/powerset never reach a step
+    import decagon.pasting.evaluate as evaluate
+    from decagon.distlaw import DistLaw
+    from decagon.elements import identity
+    from decagon.functors import apply_obj, compose_functors
+    from decagon.monads import builtin_monads
+    from decagon.transforms import tabulated
+
+    P = builtin_monads()["powerset"]
+    PP = compose_functors(P.functor, P.functor)
+    lam = tabulated(PP, PP, {X: identity(apply_obj(PP, X)) for X in U1.objects}, name="id")
+    calls = []  # per compiled step, the elements given to it
+    compiled_step = evaluate.compiled_step
+
+    def counting(*args):
+        fn, n = compiled_step(*args), len(calls)
+        calls.append(0)
+
+        def run(e):
+            calls[n] += 1
+            return fn(e)
+
+        return run
+
+    monkeypatch.setattr(evaluate, "compiled_step", counting)
+    universe = TestUniverse.sizes(0)
+    v = evaluate_cell(SIG.cells["Omega"], law_interpretation(DistLaw("id", P, P, lam)), universe)
+    assert (v.checked, v.skipped) == (0, 1)
+    assert len(apply_obj(compose_functors(*[P.functor] * 5), universe.objects[0])) == 65_536
+    assert calls and max(calls) == 0
