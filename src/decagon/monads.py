@@ -85,7 +85,8 @@ class Category:
     identity: Callable[[FinSet], FinFn]
     # compose(g, f) preserves unions in each value of f (``joins``), and in
     # each value of g (``linear_in_values``), which lie in powerset
-    # carriers: set by ``kleisli`` from the records of its ``Extension``
+    # carriers: set by ``kleisli`` from the records of its ``Extension``.
+    # In FinSet, g . f takes its values from g, so it is linear in them
     joins: bool = False
     linear_in_values: bool = False
 
@@ -97,7 +98,7 @@ def _finset_compose(g: FinFn, f: FinFn) -> FinFn:
     return compose(g, f)
 
 
-BASE_CATEGORY = Category("finset", lambda X: X, _finset_compose, identity)
+BASE_CATEGORY = Category("finset", lambda X: X, _finset_compose, identity, linear_in_values=True)
 
 
 @dataclass
@@ -142,16 +143,18 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
     When ``M.ext`` is ``linear_in_values`` (the Kleisli extension of a
     registered law), an arrow into the ambient category ranges over its
     generator-valued maps (``report.quantify``) wherever the ambient
-    composition shows both sides linear in it: f of extension-composition
-    when that composition ``joins``, and g of extension-composition and f
-    of extension-unit, which it puts first, when it is itself
-    ``linear_in_values`` (the Kleisli category of P, whose multiplication
-    splits unions in each member)."""
+    composition shows both sides linear in it: g of extension-composition
+    and f of extension-unit, which it puts first, when it is itself
+    ``linear_in_values`` (FinSet, and the Kleisli category of P, whose
+    multiplication splits unions in each member), and f of
+    extension-composition when it ``joins`` or, in FinSet, when ``M.ext``
+    does: there g . f preserves unions in each value of f when g does, and
+    each composition of that equation puts an ext(g) first."""
     amb = M.ambient
     ext = cache(M.ext)
     linear = isinstance(M.ext, Extension) and M.ext.linear_in_values
     reduce_first = (0,) if linear and amb.linear_in_values else ()
-    reduce_second = (1,) if linear and amb.joins else ()
+    reduce_second = (1,) if linear and (amb.joins or amb is BASE_CATEGORY and M.ext.joins) else ()
 
     def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
         return X, amb.obj(M.obj(Y))

@@ -13,10 +13,13 @@ operator-form axioms lives.
 Axioms paste the same few cells again and again, so ``evaluate_cell``
 keeps each verdict on the interpretation, keyed by the cell, the carrier
 cap and the object list, so that the verdicts go when it does; the memo
-holds verdicts only, never elements.  Within one cell, the source carrier
-is pushed through the generic-free prefix of each path once per object
-assignment, before the loop over the generic arrows' functions; only the
-steps from the first generic arrow on run once per instance.
+holds verdicts only, never elements.  Within one cell, every generic-free
+step of each path is compiled once per object assignment, wherever it sits,
+and the source carrier is pushed through the steps in front of the first
+generic arrow once, before the loop over the generic arrows' functions;
+per instance only the generic arrows' own steps are compiled, and the
+values run from the first generic arrow on.  The compiled steps and their
+memos belong to the assignment and go with it.
 
 ``P A`` is the free join-semilattice on ``A``: a map out of it that
 preserves unions is fixed by its values on the empty set and the
@@ -34,14 +37,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..elements import FinFn, FinSet, Subset
 from ..functors import (Const, FunctorExpr, Id, OversizeCarrier, apply_obj, compose_functors,
                         factors, marked_power, size_within)
 from ..report import AxiomVerdict, LawReport, TestUniverse, compare, instances, quantify
-from ..transforms import (NatTrans, Step, carry_mark, compiled_path, compiled_step, formula,
-                          identity_nat)
+from ..transforms import NatTrans, Step, carry_mark, compiled_step, formula, identity_nat
 from .signature import Signature
 from .terms import CellGen, cells_used
 from .words import ArrowAtom, Path, Word
@@ -49,6 +51,20 @@ from .words import ArrowAtom, Path, Word
 
 class DepthBoundExceeded(ValueError):
     """A cell needs functor words longer than the universe's depth bound."""
+
+
+class _Generic(NamedTuple):
+    """The atom of a generic arrow at one object assignment: its whiskering
+    functors and boundary words, read once."""
+
+    name: str
+    prefix: FunctorExpr
+    src: FunctorExpr
+    tgt: FunctorExpr
+    suffix: FunctorExpr
+
+    def step(self, fn: FinFn) -> Step:
+        return Step(self.prefix, formula(self.src, self.tgt, fn, name=self.name), self.suffix)
 
 
 @dataclass(eq=False)
@@ -73,15 +89,19 @@ class Interpretation:
         return compose_functors(*(self.functors[s] if s in self.functors else Const(objects[s])
                                   for s in w.symbols))
 
+    def generic(self, atom: ArrowAtom, objects: dict[str, FinSet]) -> _Generic:
+        """The atom of a generic arrow, its words read off ``objects``."""
+        word = partial(self.word_functor, objects=objects)
+        return _Generic(atom.gen.name, word(atom.prefix), word(atom.gen.src),
+                        word(atom.gen.tgt), word(atom.suffix))
+
     def atom_step(self, atom: ArrowAtom, objects: dict[str, FinSet],
                   generics: dict[str, FinFn]) -> Step:
         """The whiskered component of one atom; a generic arrow takes its
         function from ``generics``."""
         nt = self.arrows.get(atom.gen.name)
         if nt is None:
-            fn = generics[atom.gen.name]
-            nt = formula(self.word_functor(atom.gen.src, objects),
-                         self.word_functor(atom.gen.tgt, objects), fn, name=atom.gen.name)
+            return self.generic(atom, objects).step(generics[atom.gen.name])
         return Step(self.word_functor(atom.prefix, objects), nt,
                     self.word_functor(atom.suffix, objects))
 
@@ -149,41 +169,46 @@ def join_generators(F: FunctorExpr, mark: int, X: FinSet, cap: int) -> FinSet:
 class _Side:
     """One path of a cell at one object assignment and ambient object X.
 
-    The longest prefix of the path that has no generic arrow is compiled on
-    construction, and ``push`` pushes the source, the whole carrier or with
-    a ``mark`` its join generators, through it once, dropping each step
-    and its memos once the source has passed it; for a path without generic
-    arrows that prefix is the whole path.
-    ``composite`` compiles and runs the remaining steps for one choice of
-    the generic arrows' functions.
+    Every generic-free step of the path is compiled once, on construction,
+    wherever it sits in the path; each generic arrow becomes a ``_Generic``.
+    ``push`` pushes the source, the whole carrier or with a ``mark`` its
+    join generators, through the steps in front of the first generic arrow
+    once, dropping each step and its memos once the source has passed it;
+    for a path without generic arrows that is the whole path.
+    ``composite`` compiles only the generic arrows' own steps for one
+    choice of their functions and runs the values through the path.  The
+    memos of the steps after a generic arrow are shared by the instances
+    of the assignment and go with the ``_Side``.
     """
 
     def __init__(self, interp: Interpretation, path: Path, objects: dict[str, FinSet],
                  X: FinSet, cap: int, mark: Optional[int]):
-        self.interp, self.objects, self.X, self.cap = interp, objects, X, cap
-        self.start, self.mark = interp.word_functor(path.start, objects), mark
-        atoms = path.atoms
-        prefix = next((i for i, a in enumerate(atoms) if a.gen.name not in interp.arrows),
-                      len(atoms))
-        self.prefix = [compiled_step(interp.atom_step(atom, objects, {}), X, cap)
-                       for atom in atoms[:prefix]]
-        self.rest = atoms[prefix:]
+        self.X, self.cap, self.mark = X, cap, mark
+        self.start = interp.word_functor(path.start, objects)
+        self.steps = [compiled_step(interp.atom_step(a, objects, {}), X, cap)
+                      if a.gen.name in interp.arrows else interp.generic(a, objects)
+                      for a in path.atoms]
 
     def push(self) -> "_Side":
-        F, X, cap = self.start, self.X, self.cap
+        F, X, cap, steps = self.start, self.X, self.cap, self.steps
         self.dom = values = (apply_obj(F, X, cap) if self.mark is None
                              else join_generators(F, self.mark, X, cap)).elements
-        while self.prefix:
-            fn = self.prefix.pop(0)
+        while steps and type(steps[0]) is not _Generic:
+            fn = steps.pop(0)
             values = [fn(v) for v in values]
         self.values = values
         return self
 
     def composite(self, generics: dict[str, FinFn]) -> dict:
         """The path's composite at X, the generic arrows taking ``generics``."""
-        fn = compiled_path([self.interp.atom_step(atom, self.objects, generics)
-                            for atom in self.rest], self.X, self.cap)
-        return {e: fn(v) for e, v in zip(self.dom, self.values)}
+        fns = [compiled_step(s.step(generics[s.name]), self.X, self.cap)
+               if type(s) is _Generic else s for s in self.steps]
+        out = {}
+        for e, v in zip(self.dom, self.values):
+            for fn in fns:
+                v = fn(v)
+            out[e] = v
+        return out
 
 
 def evaluate_cell(
@@ -201,14 +226,16 @@ def evaluate_cell(
     The verdict is computed once per cell, interpretation (by identity),
     carrier cap and object list, and kept on the interpretation; every
     call returns a fresh copy.  The depth-bound guard runs on every call.
-    Within one object assignment the source carrier is pushed through the
-    longest generic-free prefix of each path once, before the loop over
-    the generic arrows' functions; if that part refuses (oversize carrier,
-    missing component) every instance of the assignment is skipped, and so
-    is the assignment when a generic arrow's boundary is over the cap.
-    Both paths' prefixes compile before either pushes, so a refusal costs
-    no push.  The steps from the first generic arrow on are compiled per
-    instance, so their memos never outlive it."""
+    Within one object assignment every generic-free step of both paths is
+    compiled once, wherever it sits, and the source carrier is pushed
+    through the longest generic-free prefix of each path once, before the
+    loop over the generic arrows' functions; if a step refuses (oversize
+    carrier, missing component) every instance of the assignment is
+    skipped, and so is the assignment when a generic arrow's boundary is
+    over the cap.  Both paths compile before either pushes, so a refusal
+    costs no push.  Per instance only the generic arrows' own steps are
+    compiled; the other steps' memos are shared by the assignment's
+    instances and freed with it, so none outlives this call."""
     atoms = cell.src.atoms + cell.tgt.atoms
     words = [cell.src.start, cell.tgt.start] + [a.tgt for a in atoms]
     depth = max(sum(1 for s in w.symbols if s in interp.functors) for w in words)

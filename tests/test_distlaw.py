@@ -37,6 +37,8 @@ from decagon.elements import (
 )
 from decagon.functors import apply_obj, compose_functors
 from decagon.monads import (
+    BASE_CATEGORY,
+    MonadExtensive,
     TestUniverse,
     builtin_monads,
     check_category,
@@ -594,17 +596,23 @@ def test_only_operators_built_from_linear_parts_range_f_over_generators():
     # the same element formula, which needs no object, with no linearity
     formula_alpha = DistLawAlgebra(law.name, law.T, law.P,
                                    formula(alg.alpha.src, alg.alpha.tgt, alg.alpha.rule(None)))
-    # P's multiplication splits unions in its input and in each member, but
-    # composition in the base category records neither
+    # P's multiplication splits unions in its input and in each member;
+    # composition in the base category takes its values from its first
+    # argument, and preserves unions in f's values after an ext(g) that joins
     powerset = monoidal_to_extensive(powerset_monad())
     assert powerset.ext.joins and powerset.ext.linear_in_values
     assert powerset_monad().mult.linear == {0, 1}
+    assert BASE_CATEGORY.linear_in_values and not BASE_CATEGORY.joins
+    assert reduced(check_monad_extensive(powerset, U1)) == ["extension-unit",
+                                                            "extension-composition"]
     for report in (check_noiter(DistLawNoIteration(law.name, law.T, ni.P, lambda f: ni.op(f)), U1),
                    check_noiter(algebra_to_noiter(tabulated_alpha), U1),
                    check_noiter(algebra_to_noiter(formula_alpha), U1),
                    check_monad_extensive(extend_to_kleisli(tabulated_alpha), U1),
                    check_monad_extensive(extend_to_kleisli(formula_alpha), U1),
-                   check_monad_extensive(powerset, U1)):
+                   check_monad_extensive(MonadExtensive(powerset.name, powerset.obj,
+                                                        powerset.unit_at,
+                                                        lambda f: powerset.ext(f)), U1)):
         assert report.ok and reduced(report) == [], report.summary()
 
 

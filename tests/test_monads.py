@@ -220,6 +220,41 @@ def test_universe_describes_its_sizes_and_cap():
     assert TestUniverse.sizes(2).describe() == "sizes=0,1,2 cap=200000"
 
 
+def _broken_unit_powerset(ext):
+    """P with the extension ``ext`` and a unit that sends the last element
+    of a two-element set to the empty set."""
+    from decagon.monads import MonadExtensive
+
+    good = monoidal_to_extensive(powerset_monad())
+
+    def unit_at(X):
+        u = good.unit_at(X)
+        last = X.elements[-1] if len(X) == 2 else None
+        return FinFn(X, u.cod, {x: Subset(()) if x is last else u(x) for x in X.elements})
+
+    return MonadExtensive("broken-unit", good.obj, unit_at, ext)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_a_broken_powerset_unit_is_caught_under_the_generator_valued_arrows(size):
+    # P's own extension ranges f and g over their generator-valued maps in
+    # the base category; every verdict, witness included, is that of the
+    # reference whose plain-lambda extension keeps the whole hom-sets
+    ext = monoidal_to_extensive(powerset_monad()).ext
+    U = TestUniverse.sizes(size)
+    got = check_monad_extensive(_broken_unit_powerset(ext), U)
+    want = check_monad_extensive(_broken_unit_powerset(lambda f: ext(f)), U)
+    assert [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in got.verdicts] == \
+        [(v.axiom, v.passed, v.checked, v.skipped, v.witness) for v in want.verdicts]
+    assert [v.reduction for v in got.verdicts] == ["generator-valued-f", None,
+                                                   "generator-valued-f"]
+    unit = got.verdict("extension-unit")
+    assert unit.passed == (size < 2)
+    if size == 2:
+        assert unit.witness.as_dict() == {"at": "f:2->1", "element": "b", "lhs": "{}",
+                                          "rhs": "{a}"}
+
+
 def test_check_monad_extensive_skips_extensions_that_refuse():
     # ext refuses every morphism out of a two-element set; every other
     # instance is still evaluated

@@ -552,6 +552,19 @@ GENERIC_CELLS = sorted(n for n, c in SIG.cells.items()
                        if {a.gen.name for a in c.src.atoms + c.tgt.atoms} & {"f", "g", "h"})
 
 
+def _tabulated_alpha_interpretation():
+    """The exception law with its alpha recovered from the no-iteration
+    form, tabulated on sizes <= 2: an alpha step at PT(Z) refuses once
+    |Z| >= 1, where PT(Z) has 4 elements or more."""
+    from decagon.distlaw import algebra_to_noiter, monoidal_to_algebra, noiter_to_algebra
+    from decagon.pasting import Interpretation
+
+    law = exception_over_powerset()
+    good = law_interpretation(law)
+    alpha = noiter_to_algebra(algebra_to_noiter(monoidal_to_algebra(law)), U2, law.P).alpha
+    return Interpretation("tabulated-alpha", good.functors, {**good.arrows, "alpha": alpha})
+
+
 def _interpretations():
     from decagon.distlaw import writer_over_powerset
 
@@ -559,15 +572,28 @@ def _interpretations():
             law_interpretation(writer_over_powerset()),
             law_interpretation(_broken_law("empty-set", _empty_set_lambda)),
             identity_interpretation(),
-            law_interpretation(_broken_law("inl-nonempty", _inl_nonempty_lambda))]
+            law_interpretation(_broken_law("inl-nonempty", _inl_nonempty_lambda)),
+            _tabulated_alpha_interpretation()]
 
 
 @pytest.mark.parametrize("interp", _interpretations(), ids=lambda i: i.name)
 def test_hoisting_changes_no_verdict(interp):
+    # every cell with a generic arrow at sizes <= 2 against the reference
+    # that compiles every step per instance.  Under writer the reference's
+    # carriers reach 2^16, so the cap is 20,000, and delta, 74,979 instances
+    # at size 2 (about 26 s on a 2-core host), stays at size 1.
+    writer = interp.name == "writer-over-powerset"
+    rows = {}
     for name in GENERIC_CELLS:
         cell = SIG.cells[name]
-        want = _per_instance_verdict(cell, interp, U1)
-        assert _row(evaluate_cell(cell, interp, TestUniverse.sizes(1))) == _row(want), name
+        universe = TestUniverse.sizes(1 if writer and name == "delta" else 2)
+        if writer:
+            universe.carrier_cap = 20_000
+        rows[name] = _row(evaluate_cell(cell, interp, universe))
+        assert rows[name] == _row(_per_instance_verdict(cell, interp, universe)), name
+    if interp.name == "tabulated-alpha":
+        # the alpha step after the generic arrow refuses at |Z| >= 1 only
+        assert rows["xc-alpha-e-g"][:3] == (True, 7, 94)
 
 
 def test_hoisting_changes_no_verdict_of_the_generic_pasting_algebra_cells():
@@ -587,6 +613,67 @@ def test_hoisted_cell_catches_a_failure_after_its_generic_step():
     w = v.witness
     assert (w.at, w.element, w.lhs, w.rhs) == (
         "|X|=0,Y=1,Z=0", "inl({inl(a)})", "{inl(inl({inr(e)}))}", "{inl(inl({inr(e)})),inr(e)}")
+
+
+def _counting_sides(monkeypatch):
+    """Wrap ``_Side.__init__`` and ``compiled_step`` of ``pasting.evaluate``:
+    the weak references to the sides built, and the family name of each
+    step compiled."""
+    import weakref
+
+    import decagon.pasting.evaluate as evaluate
+
+    sides, names = [], []
+    init, compiled_step = evaluate._Side.__init__, evaluate.compiled_step
+
+    def counting_init(self, *args):
+        sides.append(weakref.ref(self))
+        init(self, *args)
+
+    def counting_step(step, *args):
+        names.append(step.nt.name)
+        return compiled_step(step, *args)
+
+    monkeypatch.setattr(evaluate._Side, "__init__", counting_init)
+    monkeypatch.setattr(evaluate, "compiled_step", counting_step)
+    return sides, names
+
+
+def test_a_generic_free_step_compiles_once_per_object_assignment(monkeypatch):
+    # xc-alpha-e-g: [epsilon . alpha . Y] ; [P T . g . epsilon] against
+    # [T P T . g . epsilon] ; [epsilon . alpha . P T Z]; each alpha, the one
+    # after g too, compiles once per object assignment, each g once per
+    # instance
+    sides, names = _counting_sides(monkeypatch)
+    cell = SIG.cells["xc-alpha-e-g"]
+    atoms = cell.src.atoms + cell.tgt.atoms
+    assert [a.gen.name for a in atoms] == ["alpha", "g", "g", "alpha"]
+    v = evaluate_cell(cell, law_interpretation(exception_over_powerset()), TestUniverse.sizes(2))
+    assignments = len(sides) // 2  # one side per path; the cell passes, so no whole rerun
+    assert (v.passed, v.checked, v.skipped, assignments) == (True, 101, 0, 9)
+    assert names.count("g") == 2 * v.checked
+    assert len(names) - names.count("g") == 2 * assignments
+
+
+@pytest.mark.parametrize("make,built", [
+    (exception_over_powerset, 18),
+    (lambda: _per_member_law("one-member-to-error", _one_member_subsets_to_error), 20)],
+    ids=["passing", "mutant"])
+def test_no_side_outlives_evaluate_cell(make, built, monkeypatch):
+    # the compiled steps and their memos live on the sides, which go when
+    # the verdict is made, with no collector pass: two sides for each of
+    # the 9 object assignments, and for the mutant two more on the whole
+    # source of its first failing instance
+    import gc
+
+    sides, _ = _counting_sides(monkeypatch)
+    gc.disable()
+    try:
+        evaluate_cell(SIG.cells["xc-alpha-e-g"], law_interpretation(make()), TestUniverse.sizes(2))
+        assert len(sides) == built
+        assert all(side() is None for side in sides)
+    finally:
+        gc.enable()
 
 
 # --- union-preserving cells on their join generators ---------------------------
