@@ -361,7 +361,7 @@ def _load_signature(path: str | None):
 
 
 def _run_pasting_check(args, monads, laws) -> tuple[int, dict, list[str]]:
-    from .pasting.evaluate import DepthBoundExceeded, check_axiom_degenerate
+    from .pasting.evaluate import DepthBoundExceeded, UnboundGenericArrow, check_axiom_degenerate
 
     sig = _load_signature(args.signature)
     if not sig.axioms:
@@ -374,7 +374,7 @@ def _run_pasting_check(args, monads, laws) -> tuple[int, dict, list[str]]:
             raise ConfigError(f"unknown axiom {name!r}")
     try:
         reports = [check_axiom_degenerate(n, interp, universe, sig) for n in names]
-    except DepthBoundExceeded as exc:
+    except (DepthBoundExceeded, UnboundGenericArrow) as exc:
         raise ConfigError(str(exc)) from exc
     ok = all(r.ok for r in reports)
     payload = _report_json("pasting-check", universe.describe(), reports)

@@ -16,7 +16,7 @@ checker plus the classical four-axiom checker for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Optional
 
 from .elements import (
@@ -31,19 +31,22 @@ from .elements import (
 )
 from .functors import Id, apply_obj, compose_functors
 from .monads import (
+    BASE_CATEGORY,
     ComonadMonoidal,
-    ConstructionRefused,
     MonadExtensive,
     MonadMonoidal,
     builtin_monads,
+    extension_composition,
+    extension_unit,
     kleisli,
     monad_from_config,
     monoidal_to_extensive,
+    require,
 )
 from .pasting.builtin import builtin_signature, mixed_signature
 from .pasting.evaluate import Interpretation, check_cells, law_interpretation
 from .report import LawReport, TestUniverse, compare, instances, quantify
-from .transforms import Extension, NatTrans, Step, derived, extension, per_member, tabulated
+from .transforms import NatTrans, Step, derived, extension, per_member, tabulated
 
 
 @dataclass
@@ -153,53 +156,27 @@ def check_five_axiom(
 def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
     """Three equations on the extension operator, quantified over homs.
 
-    Each distinct morphism goes through the operator, and each op(g)
-    through P's extension, once per call; an instance that refuses, such
-    as one that needs an unavailable component, is skipped.  When ``op``
-    is ``linear_in_values`` (``algebra_to_noiter`` of a registered law),
-    both sides of op-unit preserve unions in each value of f.  Those of
-    op-composition do in each value of f when P's extension also
-    ``joins``, and in each value of g when it is also ``linear_in_values``
-    (P's multiplication splits unions in each member).  Such an arrow
-    ranges over its generator-valued maps (``report.quantify``)."""
-    T, P, TF = D.T, D.P, D.T.functor
+    ``op`` extends T to the Kleisli category of P: op-unit is its
+    extension-unit in FinSet and op-composition its extension-composition
+    in the Kleisli category, right-hand side first (``monads``' shared
+    equations).  Each distinct morphism goes through ``op`` once per call;
+    an instance that refuses, such as one that needs an unavailable
+    component, is skipped."""
+    T, P, TY = D.T, D.P, partial(apply_obj, D.T.functor)
     op = cache(D.op)
-    op_p = cache(lambda g: P.ext(op(g)))
-    reduce_unit = isinstance(D.op, Extension) and D.op.linear_in_values
-    shown = reduce_unit and isinstance(P.ext, Extension)
-    reduce_g = (0,) if shown and P.ext.linear_in_values else ()
-    reduce_f = (1,) if shown and P.ext.joins else ()
-
-    def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
-        return X, P.obj(apply_obj(TF, Y))
-
-    def ax_unit():
-        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)],
-                                   generator_valued=(0,) if reduce_unit else ()):
-            uX = T.unit.component(X)
-            yield from instances(f"f:{len(X)}->{len(Y)}", fs,
-                                 lambda f: (compose(op(f), uX), f))
 
     def ax_eta():
         for (X,), fs in quantify(universe, "X", lambda X: []):
-            etaTX = P.unit_at(apply_obj(TF, X))
+            etaTX = P.unit_at(TY(X))
             yield from instances(f"|X|={len(X)}", fs,
                                  lambda: (op(etaTX), compose(etaTX, T.mult.component(X))))
 
-    def op_composition(g: FinFn, f: FinFn) -> tuple:
-        og_p = op_p(g)
-        return compose(og_p, op(f)), op(compose(og_p, f))
-
-    def ax_comp():
-        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)],
-                                       generator_valued=reduce_g + reduce_f):
-            yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
-                                 op_composition)
-
     return LawReport(f"noiter:{D.name}", universe.describe(), [
-        compare("op-unit", ax_unit()),
+        compare("op-unit", extension_unit(universe, BASE_CATEGORY, lambda Y: P.obj(TY(Y)),
+                                          T.unit.component, D.op, op)),
         compare("op-eta", ax_eta()),
-        compare("op-composition", ax_comp()),
+        compare("op-composition",
+                extension_composition(universe, kleisli(P), TY, D.op, op, rhs_first=True)),
     ])
 
 
@@ -232,12 +209,6 @@ def check_mixed_classic(Mx: MixedLaw, universe: TestUniverse) -> LawReport:
 # converters
 
 
-def _require(report: LawReport, what: str) -> None:
-    if not report.ok:
-        failing = [v.axiom for v in report.verdicts if not v.passed]
-        raise ConstructionRefused(f"{what}: failing axioms {failing}")
-
-
 def monoidal_to_algebra(D: DistLaw) -> DistLawAlgebra:
     """alpha = Pm after lambda-whiskered-by-T."""
     T, P = D.T.functor, D.P.functor
@@ -249,7 +220,7 @@ def monoidal_to_algebra(D: DistLaw) -> DistLawAlgebra:
 def algebra_to_monoidal(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> DistLaw:
     """Recover lambda as alpha after TPu."""
     if universe is not None:
-        _require(check_algebra(D, universe), f"algebra form of {D.name}")
+        require(check_algebra(D, universe), f"algebra form of {D.name}")
     TP = compose_functors(D.T.functor, D.P.functor)
     lam = derived(TP, compose_functors(D.P.functor, D.T.functor), f"lambda[{D.name}]",
                   Step(TP, D.T.unit, Id()), Step(Id(), D.alpha, Id()))
@@ -259,7 +230,7 @@ def algebra_to_monoidal(D: DistLawAlgebra, universe: Optional[TestUniverse] = No
 def algebra_to_noiter(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> DistLawNoIteration:
     """op(f) = alpha after T(f)."""
     if universe is not None:
-        _require(check_algebra(D, universe), f"algebra form of {D.name}")
+        require(check_algebra(D, universe), f"algebra form of {D.name}")
     return DistLawNoIteration(D.name, D.T, monoidal_to_extensive(D.P),
                               extension(D.alpha, D.T.functor))
 
@@ -283,7 +254,7 @@ def noiter_to_algebra(
 def compose_monads(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> MonadMonoidal:
     """Composite monad on PT: unit etaT.u, multiplication muT.PPm.PlambdaT."""
     if universe is not None:
-        _require(check_algebra(D, universe), f"algebra form of {D.name}")
+        require(check_algebra(D, universe), f"algebra form of {D.name}")
     T, P = D.T.functor, D.P.functor
     PT = compose_functors(P, T)
     return MonadMonoidal(
@@ -296,16 +267,15 @@ def compose_monads(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -
 
 
 def extend_to_kleisli(D: DistLawAlgebra, universe: Optional[TestUniverse] = None) -> MonadExtensive:
-    """Extensive monad on the Kleisli category of P induced by the law: its
-    unit is the composite monad's."""
-    if universe is not None:
-        _require(check_algebra(D, universe), f"algebra form of {D.name}")
+    """Extensive monad on the Kleisli category of P induced by the law: the
+    no-iteration form's ``op`` over its P, with the composite monad's unit."""
+    N = algebra_to_noiter(D, universe)
     return MonadExtensive(
         f"kleisli-extension[{D.name}]",
         obj=lambda X: apply_obj(D.T.functor, X),
         unit_at=compose_monads(D).unit.component,
-        ext=extension(D.alpha, D.T.functor),
-        ambient=kleisli(monoidal_to_extensive(D.P)),
+        ext=N.op,
+        ambient=kleisli(N.P),
     )
 
 

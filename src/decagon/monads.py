@@ -73,15 +73,17 @@ class ComonadMonoidal:
 
 @dataclass
 class Category:
-    """Ambient-category interface: homs as FinFns with a chosen composition.
+    """Ambient-category interface: homs as FinFns, composed after a lift.
 
     A morphism X -> Y is a function X -> ``obj(Y)`` as a concrete table (for
-    a Kleisli category, a function into P applied to the target).
+    a Kleisli category, a function into P applied to the target).  g after
+    f is the FinSet composite of ``lift(g)``, which is g itself in FinSet
+    and P's extension of g in the Kleisli category of P, with f.
     """
 
     name: str
     obj: Callable[[FinSet], FinSet]
-    compose: Callable[[FinFn, FinFn], FinFn]
+    lift: Callable[[FinFn], FinFn]
     identity: Callable[[FinSet], FinFn]
     # compose(g, f) preserves unions in each value of f (``joins``), and in
     # each value of g (``linear_in_values``), which lie in powerset
@@ -90,15 +92,13 @@ class Category:
     joins: bool = False
     linear_in_values: bool = False
 
-
-def _finset_compose(g: FinFn, f: FinFn) -> FinFn:
-    """Composition in FinSet.  ``compose`` is looked up on each call, so a
-    rebinding of this module's name, such as the benchmark tracer's
-    counter, sees every composition of the base category."""
-    return compose(g, f)
+    def compose(self, g: FinFn, f: FinFn) -> FinFn:
+        """g after f, through this module's ``compose``, looked up per call
+        so that a rebinding of it (the benchmark's counter) sees them all."""
+        return compose(self.lift(g), f)
 
 
-BASE_CATEGORY = Category("finset", lambda X: X, _finset_compose, identity, linear_in_values=True)
+BASE_CATEGORY = Category("finset", lambda X: X, lambda g: g, identity, linear_in_values=True)
 
 
 @dataclass
@@ -135,56 +135,70 @@ def check_comonad(C: ComonadMonoidal, universe: TestUniverse) -> LawReport:
     return check_cells(f"comonad:{C.name}", COMONAD_CELLS, interp, universe, mixed_signature())
 
 
+def generator_valued_arrows(ext, amb: Category) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The arrows of extension-unit (f) and extension-composition (g, f) of
+    ``ext`` in ``amb`` that both sides are linear in by construction, so that
+    they range over their generator-valued maps (``report.quantify``).  Each
+    needs an ``ext`` that is ``linear_in_values``; f of extension-unit and g
+    of extension-composition also an ambient composition that is (FinSet;
+    the Kleisli category of a P whose multiplication splits unions in each
+    member), and f of extension-composition one that ``joins`` or, in
+    FinSet, an ``ext`` that does."""
+    if not (isinstance(ext, Extension) and ext.linear_in_values):
+        return (), ()
+    g = (0,) if amb.linear_in_values else ()
+    f = (1,) if amb.joins or amb is BASE_CATEGORY and ext.joins else ()
+    return g, g + f
+
+
+def extension_unit(universe: TestUniverse, amb: Category, obj: Callable, unit_at: Callable,
+                   ext, memo: Callable):
+    """The instances of ext(f) . u_X = f, f: X -> obj(Y) in ``amb``; ``memo``
+    applies ``ext``, whose records decide the reduction."""
+    reduced, _ = generator_valued_arrows(ext, amb)
+    for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [(X, amb.obj(obj(Y)))],
+                               generator_valued=reduced):
+        uX = unit_at(X)
+        yield from instances(f"f:{len(X)}->{len(Y)}", fs,
+                             lambda f: (amb.compose(memo(f), uX), f))
+
+
+def extension_composition(universe: TestUniverse, amb: Category, obj: Callable, ext,
+                          memo: Callable, rhs_first: bool = False):
+    """The instances of ext(ext(g) . f) = ext(g) . ext(f), f: X -> obj(Y) and
+    g: Y -> obj(Z) in ``amb``, as in ``extension_unit``, lifting ext(g) once
+    per g; ``rhs_first`` states the right-hand side first."""
+    _, reduced = generator_valued_arrows(ext, amb)
+    lift = cache(lambda g: amb.lift(memo(g)))
+
+    def sides(g: FinFn, f: FinFn) -> tuple:
+        lifted = lift(g)
+        lhs, rhs = memo(compose(lifted, f)), compose(lifted, memo(f))
+        return (rhs, lhs) if rhs_first else (lhs, rhs)
+
+    for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [
+            (Y, amb.obj(obj(Z))), (X, amb.obj(obj(Y)))], generator_valued=reduced):
+        yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs, sides)
+
+
 def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawReport:
     """The three Kleisli-triple equations, quantified over ambient homs.
 
     Each distinct morphism is extended once per call; an instance that
     refuses, such as one that needs an unavailable component, is skipped.
-    When ``M.ext`` is ``linear_in_values`` (the Kleisli extension of a
-    registered law), an arrow into the ambient category ranges over its
-    generator-valued maps (``report.quantify``) wherever the ambient
-    composition shows both sides linear in it: g of extension-composition
-    and f of extension-unit, which it puts first, when it is itself
-    ``linear_in_values`` (FinSet, and the Kleisli category of P, whose
-    multiplication splits unions in each member), and f of
-    extension-composition when it ``joins`` or, in FinSet, when ``M.ext``
-    does: there g . f preserves unions in each value of f when g does, and
-    each composition of that equation puts an ext(g) first."""
-    amb = M.ambient
-    ext = cache(M.ext)
-    linear = isinstance(M.ext, Extension) and M.ext.linear_in_values
-    reduce_first = (0,) if linear and amb.linear_in_values else ()
-    reduce_second = (1,) if linear and (amb.joins or amb is BASE_CATEGORY and M.ext.joins) else ()
-
-    def hom(X: FinSet, Y: FinSet) -> tuple[FinSet, FinSet]:
-        return X, amb.obj(M.obj(Y))
-
-    def extension_unit():
-        for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [hom(X, Y)],
-                                   generator_valued=reduce_first):
-            uX = M.unit_at(X)
-            yield from instances(f"f:{len(X)}->{len(Y)}", fs,
-                                 lambda f: (amb.compose(ext(f), uX), f))
+    Extension-unit and extension-composition are the shared equations."""
+    amb, ext = M.ambient, cache(M.ext)
 
     def unit_extension():
         for (X,), fs in quantify(universe, "X", lambda X: []):
             yield from instances(f"|X|={len(X)}", fs,
                                  lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
 
-    def extension_composition(g: FinFn, f: FinFn) -> tuple:
-        eg = ext(g)
-        return ext(amb.compose(eg, f)), amb.compose(eg, ext(f))
-
-    def composition():
-        for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [hom(Y, Z), hom(X, Y)],
-                                       generator_valued=reduce_first + reduce_second):
-            yield from instances(f"f:{len(X)}->{len(Y)},g:{len(Y)}->{len(Z)}", gfs,
-                                 extension_composition)
-
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
-        compare("extension-unit", extension_unit()),
+        compare("extension-unit", extension_unit(universe, amb, M.obj, M.unit_at, M.ext, ext)),
         compare("unit-extension", unit_extension()),
-        compare("extension-composition", composition()),
+        compare("extension-composition",
+                extension_composition(universe, amb, M.obj, M.ext, ext)),
     ])
 
 
@@ -226,20 +240,23 @@ class ConstructionRefused(ValueError):
     """A construction's precondition check failed."""
 
 
+def require(report: LawReport, what: str) -> None:
+    """The precondition check of every construction that takes a universe."""
+    if not report.ok:
+        failing = [v.axiom for v in report.verdicts if not v.passed]
+        raise ConstructionRefused(f"{what}: failing axioms {failing}")
+
+
 def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Category:
     """Kleisli category of an extensive monad: hom(X, Y) = hom(X, PY)."""
     if universe is not None:
-        pre = check_monad_extensive(M, universe)
-        if not pre.ok:
-            failing = [v.axiom for v in pre.verdicts if not v.passed]
-            raise ConstructionRefused(f"extensive laws fail for {M.name}: {failing}")
+        require(check_monad_extensive(M, universe), f"extensive laws of {M.name}")
     base = M.ambient
-    cached_ext = cache(M.ext)
     records = isinstance(M.ext, Extension) and base is BASE_CATEGORY
     return Category(
         name=f"kleisli({M.name})",
         obj=lambda Y: base.obj(M.obj(Y)),
-        compose=lambda g, f: base.compose(cached_ext(g), f),
+        lift=cache(lambda g: base.lift(M.ext(g))),
         identity=lambda X: M.unit_at(X),
         joins=records and M.ext.joins,
         linear_in_values=records and M.ext.linear_in_values,

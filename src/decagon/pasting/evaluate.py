@@ -53,6 +53,11 @@ class DepthBoundExceeded(ValueError):
     """A cell needs functor words longer than the universe's depth bound."""
 
 
+class UnboundGenericArrow(ValueError):
+    """A generic arrow has a boundary word with no object symbol, so its
+    carrier would depend on the ambient object."""
+
+
 class _Generic(NamedTuple):
     """The atom of a generic arrow at one object assignment: its whiskering
     functors and boundary words, read once."""
@@ -121,12 +126,14 @@ def identity_interpretation() -> Interpretation:
 def law_interpretation(law) -> Interpretation:
     """Strict interpretation induced by a concrete distributive law, given
     by lambda (``DistLaw``, which also interprets alpha as Pm . lambda T)
-    or by alpha (``DistLawAlgebra``)."""
-    from ..distlaw import DistLawAlgebra, monoidal_to_algebra
+    or by alpha (``DistLawAlgebra``, which also interprets lambda as
+    alpha . TPu): either way all six arrows are assigned."""
+    from ..distlaw import DistLawAlgebra, algebra_to_monoidal, monoidal_to_algebra
 
     arrows = {"u": law.T.unit, "m": law.T.mult, "eta": law.P.unit, "mu": law.P.mult}
     if isinstance(law, DistLawAlgebra):
         arrows["alpha"] = law.alpha
+        arrows["lambda"] = algebra_to_monoidal(law).lam
     else:
         arrows["lambda"] = law.lam
         arrows["alpha"] = monoidal_to_algebra(law).alpha
@@ -259,6 +266,10 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
     obj_names = sorted(symbols - interp.functors.keys())
     generics = sorted({a.gen for a in atoms if a.gen.name not in interp.arrows},
                       key=lambda g: g.name)
+    for g in generics:
+        if any(set(w.symbols) <= interp.functors.keys() for w in (g.src, g.tgt)):
+            raise UnboundGenericArrow(f"cell {cell.name} needs a family for {g.name}: its "
+                                      f"boundary {g.src} -> {g.tgt} has a word with no object")
     cap = universe.carrier_cap
     mark = generator_mark(cell, interp)
 

@@ -334,6 +334,20 @@ def test_pasting_check_on_a_signature_without_axioms_is_a_configuration_error(ca
     assert captured.err == "error: signature declares no axioms\n"
 
 
+def test_pasting_check_of_a_generic_arrow_with_no_object_symbol_exit_two(tmp_path, capsys):
+    # nu's carriers T(X) and TT(X) would depend on the ambient object X
+    path = tmp_path / "nu.sexp"
+    path.write_text(
+        "(signature (version 1) (alphabet T P) (arrow nu (T T) (T))\n"
+        "  (cell c (src [epsilon . nu . epsilon]) (tgt [epsilon . nu . epsilon]))\n"
+        "  (axiom A (cell c) (cell c)))\n")
+    code = run(["pasting-check", "--signature", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cell c needs a family for nu")
+
+
 @pytest.mark.parametrize("text", [
     # an atom naming an arrow the signature does not declare
     "(signature (version 1) (alphabet T) (arrow m (T T) (T))\n"

@@ -572,6 +572,31 @@ def test_the_dropping_law_fails_every_operator_axiom():
                                       "lhs": "{}", "rhs": "{inl(a)}"}
 
 
+def _tabulated_alpha() -> DistLawAlgebra:
+    law = exception_over_powerset()
+    return noiter_to_algebra(algebra_to_noiter(monoidal_to_algebra(law)), U1, law.P)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize("make", [exception_over_powerset, writer_over_powerset, _tabulated_alpha,
+                                  _dropping_law, _error_adding_alpha], ids=lambda f: f.__name__)
+def test_op_composition_is_the_extension_composition_of_op(make, size):
+    # op-composition states extension-composition in the Kleisli category
+    # of P right-hand side first, so the rows agree with lhs and rhs swapped
+    from decagon.distlaw import extend_to_kleisli
+    from decagon.report import Witness
+
+    law = make()
+    alg = law if isinstance(law, DistLawAlgebra) else monoidal_to_algebra(law)
+    U = TestUniverse.sizes(size)
+    op = check_noiter(algebra_to_noiter(alg), U).verdict("op-composition")
+    ext = check_monad_extensive(extend_to_kleisli(alg), U).verdict("extension-composition")
+    assert (op.passed, op.checked, op.skipped, op.reduction) == \
+        (ext.passed, ext.checked, ext.skipped, ext.reduction)
+    w = ext.witness
+    assert op.witness == (w and Witness(w.at, w.element, w.rhs, w.lhs))
+
+
 def test_only_operators_built_from_linear_parts_range_f_over_generators():
     from decagon.distlaw import DistLawAlgebra, DistLawNoIteration, extend_to_kleisli
     from decagon.transforms import Extension

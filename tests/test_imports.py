@@ -19,7 +19,11 @@ only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
 join generators a cell is checked on.  Likewise only ``extension`` records
 which unions an extension operator preserves (``Extension``), which
 ``kleisli`` passes on to its composition, the one ``Category`` with such
-a record, and only ``report.quantify``
+a record; only ``monads.generator_valued_arrows`` reads the records to
+decide which arrows of the operator equations range over generator-valued
+maps, and only the shared equations ``extension_unit`` and
+``extension_composition`` ask it, for ``check_monad_extensive`` and
+``check_noiter`` alike; and only ``report.quantify``
 builds the generator-valued hom-sets an arrow may range over.  Only
 ``report`` builds the record an object assignment reaches ``compare`` as
 (``Reduced``) or names a reduction, and only its ``instances`` and the
@@ -165,6 +169,35 @@ def test_only_extension_records_which_unions_an_operator_preserves():
     # the base category (a module-level assignment), whose composition takes
     # its values from its first argument, and the Kleisli categories
     assert set(_calls("Category")) == {("monads.py", None), ("monads.py", "kleisli")}
+
+
+def test_one_function_decides_the_generator_valued_arrows_of_the_operator_equations():
+    # the records are read where they are passed on (kleisli) and where the
+    # reduction is decided, nowhere else
+    reads = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("linear_in_values", "joins")
+                        and isinstance(node.ctx, ast.Load)):
+                    reads.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None)))
+    assert reads == {("monads.py", "generator_valued_arrows"), ("monads.py", "kleisli")}
+    shared = {("monads.py", "extension_unit"), ("monads.py", "extension_composition")}
+    assert set(_calls("generator_valued_arrows")) == shared
+    keywords = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.keyword) and node.arg == "generator_valued":
+                    keywords.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None)))
+    assert keywords == shared
+    # both checkers state the two equations through them; check_noiter keeps
+    # one quantifier of its own, op-eta's
+    for name in ("extension_unit", "extension_composition"):
+        assert set(_calls(name)) == {("monads.py", "check_monad_extensive"),
+                                     ("distlaw.py", "check_noiter")}
+    assert [c for c in _calls("quantify") if c[0] == "distlaw.py"] == [
+        ("distlaw.py", "check_noiter")]
 
 
 def test_only_quantify_builds_generator_valued_hom_sets():

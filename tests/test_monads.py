@@ -452,11 +452,24 @@ def test_check_category_skips_kleisli_compositions_without_components():
     assert rows == [("unitality", True, 6, 10, None), ("associativity", True, 13, 151, None)]
 
 
-def test_base_category_composes_through_the_module_name(monkeypatch):
+def _compose_calls(run) -> int:
+    """How many times ``run()`` calls ``elements.compose``, under any name."""
+    import cProfile
+    import pstats
+
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    return sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+               if name == "compose" and path.endswith("elements.py"))
+
+
+def test_every_composition_goes_through_the_module_name(monkeypatch):
     # the benchmark counts compositions by rebinding ``compose`` in each
-    # module that holds it; the base category must look it up per call
+    # module that holds it: a category composes in FinSet after its lift,
+    # looking the name up per call, and so do the shared equations
     import decagon.monads
     from decagon.distlaw import builtin_laws, extend_to_kleisli, monoidal_to_algebra
+    from decagon.monads import BASE_CATEGORY
 
     calls = []
 
@@ -464,9 +477,21 @@ def test_base_category_composes_through_the_module_name(monkeypatch):
         calls.append(1)
         return compose(g, f)
 
+    X = atoms("a", "b")
+    powerset = monoidal_to_extensive(powerset_monad())
+    f = all_functions(X, apply_obj(Power(), X))[5]
     ext = extend_to_kleisli(monoidal_to_algebra(builtin_laws()["exception-over-powerset"]))
     monkeypatch.setattr(decagon.monads, "compose", counting)
-    report = check_monad_extensive(ext, TestUniverse.sizes(1))
-    monkeypatch.undo()
-    assert report.ok, report.summary()
-    assert len(calls) > 0
+    assert BASE_CATEGORY.compose(identity(X), identity(X)) == identity(X) and len(calls) == 1
+    assert kleisli(powerset).compose(f, powerset.unit_at(X)) == f and len(calls) == 2
+    for M in (ext, powerset):
+        calls.clear()
+        report = None
+
+        def check():
+            nonlocal report
+            report = check_monad_extensive(M, TestUniverse.sizes(1))
+
+        made = _compose_calls(check)
+        assert report.ok, report.summary()
+        assert made > 0 and len(calls) == made

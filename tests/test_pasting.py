@@ -405,6 +405,45 @@ def test_depth_bound_guards_deep_words():
     assert check_axiom_degenerate("D2", identity_interpretation(), shallow).ok
 
 
+_LAMBDA_CELLS = [c for c in SIG.cells.values()
+                 if any(a.gen.name == "lambda" for a in c.src.atoms + c.tgt.atoms)]
+
+
+def test_the_algebra_form_interprets_lambda_as_the_lambda_form_does():
+    # lambda = alpha . TPu: every cell that uses lambda gets the verdict of
+    # the lambda form's interpretation, where lambda was once left generic
+    from decagon.distlaw import monoidal_to_algebra
+
+    law = exception_over_powerset()
+    by_lambda, by_alpha = law_interpretation(law), law_interpretation(monoidal_to_algebra(law))
+    assert len(_LAMBDA_CELLS) == 24
+    for cell in _LAMBDA_CELLS:
+        want = evaluate_cell(cell, by_lambda, U1)
+        assert want.passed, cell.name
+        assert evaluate_cell(cell, by_alpha, U1) == want, cell.name
+
+
+def test_delta_under_a_tabulated_alpha_returns_a_verdict():
+    # alpha is tabulated on sizes <= 1, so the instances that need it
+    # elsewhere are skipped; the recovered lambda is tabulated there too
+    from decagon.distlaw import algebra_to_noiter, monoidal_to_algebra, noiter_to_algebra
+
+    law = exception_over_powerset()
+    alg = noiter_to_algebra(algebra_to_noiter(monoidal_to_algebra(law)), U1, law.P)
+    v = evaluate_cell(SIG.cells["delta"], law_interpretation(alg), U2)
+    assert (v.passed, v.checked, v.skipped) == (True, 7, 6440)
+
+
+def test_a_generic_arrow_with_no_object_symbol_is_refused():
+    from decagon.pasting.evaluate import UnboundGenericArrow
+
+    sig = parse_signature(
+        "(signature (version 1) (alphabet T P) (arrow nu (T T) (T))\n"
+        "  (cell c (src [epsilon . nu . epsilon]) (tgt [epsilon . nu . epsilon])))\n")
+    with pytest.raises(UnboundGenericArrow, match="nu"):
+        evaluate_cell(sig.cells["c"], law_interpretation(exception_over_powerset()), U1)
+
+
 # --- the verdict memo and the hoisted evaluation -------------------------------
 
 
