@@ -81,10 +81,6 @@ def _load_registry(path: str | None):
     return monads, laws
 
 
-def _universe(args) -> TestUniverse:
-    return TestUniverse.sizes(args.max_size)
-
-
 def _law(laws, name: str, mixed: str | None = None, kind: str = "law"):
     """The registered law ``name``; a mixed law is refused with the message
     ``mixed`` when one is given."""
@@ -160,10 +156,6 @@ def _emit(payload: dict, summaries: list[str]) -> None:
         print(line, file=sys.stderr)
 
 
-def _cross_form_agreement(reports: list[LawReport]) -> bool:
-    return len({rep.ok for rep in reports}) <= 1
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decagon",
@@ -232,7 +224,7 @@ def _run_check_monad(args, monads, laws) -> tuple[int, dict, list[str]]:
     if args.monad not in monads:
         raise ConfigError(f"unknown monad {args.monad!r}")
     m = monads[args.monad]
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     reports = []
     if isinstance(m, ComonadMonoidal):
         if args.form == "extensive":
@@ -250,19 +242,19 @@ def _run_check_monad(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 def _run_check_law(args, monads, laws) -> tuple[int, dict, list[str]]:
     law = _law(laws, args.law)
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     reports = _law_reports(law, args.form, universe)
     ok = all(r.ok for r in reports)
     extra = {}
     if args.form == "all":
-        extra["forms_agree"] = _cross_form_agreement(reports)
+        extra["forms_agree"] = len({rep.ok for rep in reports}) <= 1
     payload = _report_json("check-law", universe.describe(), reports, extra=extra)
     return (0 if ok else 1), payload, [r.summary() for r in reports]
 
 
 def _run_convert(args, monads, laws) -> tuple[int, dict, list[str]]:
     law = _law(laws, args.law, "mixed laws have no algebra or operator form")
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     alg = monoidal_to_algebra(law)
     ok = True
     details: dict = {"from": args.from_form, "to": args.to_form}
@@ -285,7 +277,7 @@ def _run_convert(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 def _run_compose(args, monads, laws) -> tuple[int, dict, list[str]]:
     law = _law(laws, args.law, "mixed laws do not compose the monads")
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     composite = compose_monads(monoidal_to_algebra(law))
     report = check_monad_monoidal(composite, universe)
     payload = _report_json("compose", universe.describe(), [report],
@@ -295,7 +287,7 @@ def _run_compose(args, monads, laws) -> tuple[int, dict, list[str]]:
 
 def _run_extend(args, monads, laws) -> tuple[int, dict, list[str]]:
     law = _law(laws, args.law, "mixed laws do not extend to the Kleisli category")
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     ext = extend_to_kleisli(monoidal_to_algebra(law))
     report = check_monad_extensive(ext, universe)
     payload = _report_json("extend-kleisli", universe.describe(), [report])
@@ -317,7 +309,7 @@ def _run_search(args, monads, laws) -> tuple[int, dict, list[str]]:
         reference = None
     else:
         raise ConfigError("search needs --law NAME or --monad T --monad P")
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     try:
         spec = SearchSpec(T, Pm, form=args.form, universe=universe, budget=args.budget)
         result = enumerate_candidates(spec)
@@ -367,7 +359,7 @@ def _run_pasting_check(args, monads, laws) -> tuple[int, dict, list[str]]:
     if not sig.axioms:
         raise ConfigError("signature declares no axioms")
     interp = _interpretation_by_name(args.interpretation, laws)
-    universe = _universe(args)
+    universe = TestUniverse.sizes(args.max_size)
     names = list(sig.axioms) if args.axiom == "all" else [args.axiom]
     for name in names:
         if name not in sig.axioms:

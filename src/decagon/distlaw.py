@@ -26,6 +26,7 @@ from .elements import (
     Inl,
     Pair,
     Subset,
+    atoms,
     compose,
     identity,
 )
@@ -173,10 +174,10 @@ def check_noiter(D: DistLawNoIteration, universe: TestUniverse) -> LawReport:
 
     return LawReport(f"noiter:{D.name}", universe.describe(), [
         compare("op-unit", extension_unit(universe, BASE_CATEGORY, lambda Y: P.obj(TY(Y)),
-                                          T.unit.component, D.op, op)),
+                                          T.unit.component, op)),
         compare("op-eta", ax_eta()),
         compare("op-composition",
-                extension_composition(universe, kleisli(P), TY, D.op, op, rhs_first=True)),
+                extension_composition(universe, kleisli(P), TY, op, rhs_first=True)),
     ])
 
 
@@ -330,8 +331,6 @@ def coreader_over_powerset() -> MixedLaw:
 def _validate_component(lam: NatTrans, name: str) -> None:
     """Smoke-materialise the component on tiny carriers so that a builtin
     component paired with structurally wrong monads is a config error."""
-    from .elements import atoms
-
     for X in (atoms(), atoms("a")):
         try:
             lam.component(X)

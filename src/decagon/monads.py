@@ -85,12 +85,6 @@ class Category:
     obj: Callable[[FinSet], FinSet]
     lift: Callable[[FinFn], FinFn]
     identity: Callable[[FinSet], FinFn]
-    # compose(g, f) preserves unions in each value of f (``joins``), and in
-    # each value of g (``linear_in_values``), which lie in powerset
-    # carriers: set by ``kleisli`` from the records of its ``Extension``.
-    # In FinSet, g . f takes its values from g, so it is linear in them
-    joins: bool = False
-    linear_in_values: bool = False
 
     def compose(self, g: FinFn, f: FinFn) -> FinFn:
         """g after f, through this module's ``compose``, looked up per call
@@ -98,7 +92,7 @@ class Category:
         return compose(self.lift(g), f)
 
 
-BASE_CATEGORY = Category("finset", lambda X: X, lambda g: g, identity, linear_in_values=True)
+BASE_CATEGORY = Category("finset", lambda X: X, lambda g: g, identity)
 
 
 @dataclass
@@ -140,40 +134,46 @@ def generator_valued_arrows(ext, amb: Category) -> tuple[tuple[int, ...], tuple[
     ``ext`` in ``amb`` that both sides are linear in by construction, so that
     they range over their generator-valued maps (``report.quantify``).  Each
     needs an ``ext`` that is ``linear_in_values``; f of extension-unit and g
-    of extension-composition also an ambient composition that is (FinSet;
-    the Kleisli category of a P whose multiplication splits unions in each
-    member), and f of extension-composition one that ``joins`` or, in
-    FinSet, an ``ext`` that does."""
+    of extension-composition also an ambient composition that is (FinSet's,
+    which takes its values from g, or one after a lift that is, as in the
+    Kleisli category of a P whose multiplication splits unions in each
+    member), and f of extension-composition a lift that ``joins`` or, in
+    FinSet, an ``ext`` that does.  The records are read off the
+    ``Extension`` that ``ext`` and ``amb.lift`` are or memoise
+    (``__wrapped__``), so they belong to the operators evaluated."""
+    ext, lift = (getattr(op, "__wrapped__", op) for op in (ext, amb.lift))
     if not (isinstance(ext, Extension) and ext.linear_in_values):
         return (), ()
-    g = (0,) if amb.linear_in_values else ()
-    f = (1,) if amb.joins or amb is BASE_CATEGORY and ext.joins else ()
+    base, records = amb is BASE_CATEGORY, isinstance(lift, Extension)
+    g = (0,) if base or records and lift.linear_in_values else ()
+    f = (1,) if base and ext.joins or records and lift.joins else ()
     return g, g + f
 
 
 def extension_unit(universe: TestUniverse, amb: Category, obj: Callable, unit_at: Callable,
-                   ext, memo: Callable):
-    """The instances of ext(f) . u_X = f, f: X -> obj(Y) in ``amb``; ``memo``
-    applies ``ext``, whose records decide the reduction."""
+                   ext: Callable):
+    """The instances of ext(f) . u_X = f, f: X -> obj(Y) in ``amb``; a
+    caller that states several equations passes one memo of its operator,
+    so that each morphism is extended once."""
     reduced, _ = generator_valued_arrows(ext, amb)
     for (X, Y), fs in quantify(universe, "XY", lambda X, Y: [(X, amb.obj(obj(Y)))],
                                generator_valued=reduced):
         uX = unit_at(X)
         yield from instances(f"f:{len(X)}->{len(Y)}", fs,
-                             lambda f: (amb.compose(memo(f), uX), f))
+                             lambda f: (amb.compose(ext(f), uX), f))
 
 
-def extension_composition(universe: TestUniverse, amb: Category, obj: Callable, ext,
-                          memo: Callable, rhs_first: bool = False):
+def extension_composition(universe: TestUniverse, amb: Category, obj: Callable, ext: Callable,
+                          rhs_first: bool = False):
     """The instances of ext(ext(g) . f) = ext(g) . ext(f), f: X -> obj(Y) and
     g: Y -> obj(Z) in ``amb``, as in ``extension_unit``, lifting ext(g) once
     per g; ``rhs_first`` states the right-hand side first."""
     _, reduced = generator_valued_arrows(ext, amb)
-    lift = cache(lambda g: amb.lift(memo(g)))
+    lift = cache(lambda g: amb.lift(ext(g)))
 
     def sides(g: FinFn, f: FinFn) -> tuple:
         lifted = lift(g)
-        lhs, rhs = memo(compose(lifted, f)), compose(lifted, memo(f))
+        lhs, rhs = ext(compose(lifted, f)), compose(lifted, ext(f))
         return (rhs, lhs) if rhs_first else (lhs, rhs)
 
     for (X, Y, Z), gfs in quantify(universe, "XYZ", lambda X, Y, Z: [
@@ -195,10 +195,9 @@ def check_monad_extensive(M: MonadExtensive, universe: TestUniverse) -> LawRepor
                                  lambda: (ext(M.unit_at(X)), amb.identity(M.obj(X))))
 
     return LawReport(f"monad-extensive:{M.name}", universe.describe(), [
-        compare("extension-unit", extension_unit(universe, amb, M.obj, M.unit_at, M.ext, ext)),
+        compare("extension-unit", extension_unit(universe, amb, M.obj, M.unit_at, ext)),
         compare("unit-extension", unit_extension()),
-        compare("extension-composition",
-                extension_composition(universe, amb, M.obj, M.ext, ext)),
+        compare("extension-composition", extension_composition(universe, amb, M.obj, ext)),
     ])
 
 
@@ -252,14 +251,11 @@ def kleisli(M: MonadExtensive, universe: Optional[TestUniverse] = None) -> Categ
     if universe is not None:
         require(check_monad_extensive(M, universe), f"extensive laws of {M.name}")
     base = M.ambient
-    records = isinstance(M.ext, Extension) and base is BASE_CATEGORY
     return Category(
         name=f"kleisli({M.name})",
         obj=lambda Y: base.obj(M.obj(Y)),
-        lift=cache(lambda g: base.lift(M.ext(g))),
+        lift=cache(M.ext) if base is BASE_CATEGORY else cache(lambda g: base.lift(M.ext(g))),
         identity=lambda X: M.unit_at(X),
-        joins=records and M.ext.joins,
-        linear_in_values=records and M.ext.linear_in_values,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
-from .distlaw import DistLaw, check_algebra, check_beck, check_decagon
+from .distlaw import DistLaw, DistLawAlgebra, check_algebra, check_beck, check_decagon
 from .elements import FinFn
 from .functors import apply_mor, apply_obj, compose_functors
 from .monads import MonadMonoidal
@@ -142,8 +142,6 @@ def _axiom_systems(spec: SearchSpec) -> list[tuple[str, callable]]:
         return check_decagon(DistLaw("candidate", spec.T, spec.P, nt), spec.universe)
 
     def alg(nt):
-        from .distlaw import DistLawAlgebra
-
         return check_algebra(DistLawAlgebra("candidate", spec.T, spec.P, nt), spec.universe)
 
     if spec.form == "monoidal":

@@ -136,18 +136,15 @@ def step_source(s: Step) -> FunctorExpr:
     return compose_functors(s.prefix, s.nt.src, s.suffix)
 
 
-def _step_object(s: Step, X: FinSet, cap: int) -> FinSet:
-    """X, or s's suffix at X if s's family needs its object."""
-    return apply_obj(s.suffix, X, cap) if s.nt.needs_object else X
-
-
 def compiled_step(s: Step, X: FinSet, cap: int) -> Callable[[Element], Element]:
-    """The element action of one whiskered component at X.
+    """The element action of one whiskered component at X: its family's
+    rule at s's suffix at X if the family needs its object, else at X.
 
     Raises ``OversizeCarrier`` when a tabulated component's object would
     exceed ``cap`` and ``ComponentUnavailable`` when it is missing.
     """
-    return compiled_action(s.prefix, s.nt.rule(_step_object(s, X, cap)))
+    Y = apply_obj(s.suffix, X, cap) if s.nt.needs_object else X
+    return compiled_action(s.prefix, s.nt.rule(Y))
 
 
 def compiled_path(steps: Sequence[Step], X: FinSet, cap: int) -> Callable[[Element], Element]:
@@ -250,22 +247,12 @@ def derived(src: FunctorExpr, tgt: FunctorExpr, name: str, *steps: Step) -> NatT
     """Family whose component at X is the path ``steps`` from src to tgt,
     under the default carrier cap; it needs its object when a step's family
     does, is tabulated where they are, and is linear at src's marked factor
-    when ``carry_mark`` takes that to the head of tgt.  An unwhiskered first step runs its bare
-    rule: every caller of a rule memoises or de-duplicates its inputs, or
-    (``extension``) calls it bare, so a leaf memo would only copy them."""
+    when ``carry_mark`` takes that to the head of tgt."""
     families = [s.nt for s in steps]
     at = marked_power(src)
     objects = [X for nt in families for X in nt.tabulated_objects or ()]
-    head, tail = (steps[0], steps[1:]) if isinstance(steps[0].prefix, Id) else (None, steps)
-
-    def rule(X: FinSet) -> Callable[[Element], Element]:
-        path = compiled_path(tail, X, DEFAULT_CARRIER_CAP)
-        if head is None:
-            return path
-        bare = head.nt.rule(_step_object(head, X, DEFAULT_CARRIER_CAP))
-        return lambda e: path(bare(e))
-
-    return NatTrans(src, tgt, rule, name=name, needs_object=any(nt.needs_object for nt in families),
+    return NatTrans(src, tgt, lambda X: compiled_path(steps, X, DEFAULT_CARRIER_CAP), name=name,
+                    needs_object=any(nt.needs_object for nt in families),
                     tabulated_objects=list(dict.fromkeys(objects)) or None,
                     linear=frozenset({at} if at is not None and carry_mark(steps, at) == 0
                                      else ()))

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from decagon.distlaw import (
@@ -44,7 +46,9 @@ from decagon.monads import (
     check_category,
     check_monad_extensive,
     check_monad_monoidal,
+    generator_valued_arrows,
     identity_monad,
+    kleisli,
     monoidal_to_extensive,
     powerset_monad,
 )
@@ -610,7 +614,9 @@ def test_only_operators_built_from_linear_parts_range_f_over_generators():
         ni, M = algebra_to_noiter(alg), extend_to_kleisli(alg)
         assert isinstance(ni.op, Extension) and ni.op.linear_in_values
         assert isinstance(M.ext, Extension) and M.ext.linear_in_values
-        assert M.ambient.joins and M.ambient.linear_in_values
+        # composition in the Kleisli category lifts g through P's extension,
+        # which is linear in g's values and joins
+        assert generator_valued_arrows(M.ext, M.ambient) == ((0,), (0, 1))
         assert reduced(check_noiter(ni, U1)) == ["op-unit", "op-composition"]
         assert reduced(check_monad_extensive(M, U1)) == ["extension-unit", "extension-composition"]
 
@@ -627,7 +633,8 @@ def test_only_operators_built_from_linear_parts_range_f_over_generators():
     powerset = monoidal_to_extensive(powerset_monad())
     assert powerset.ext.joins and powerset.ext.linear_in_values
     assert powerset_monad().mult.linear == {0, 1}
-    assert BASE_CATEGORY.linear_in_values and not BASE_CATEGORY.joins
+    assert generator_valued_arrows(powerset.ext, BASE_CATEGORY) == ((0,), (0, 1))
+    assert generator_valued_arrows(ni.op, BASE_CATEGORY) == ((0,), (0,))
     assert reduced(check_monad_extensive(powerset, U1)) == ["extension-unit",
                                                             "extension-composition"]
     for report in (check_noiter(DistLawNoIteration(law.name, law.T, ni.P, lambda f: ni.op(f)), U1),
@@ -639,6 +646,22 @@ def test_only_operators_built_from_linear_parts_range_f_over_generators():
                                                         powerset.unit_at,
                                                         lambda f: powerset.ext(f)), U1)):
         assert report.ok and reduced(report) == [], report.summary()
+
+
+def test_a_memoised_operator_has_the_records_of_the_operator_it_wraps():
+    # the shared equations evaluate a memo of the operator, and read its
+    # records through it
+    powerset = monoidal_to_extensive(powerset_monad())
+    cases = [(powerset.ext, BASE_CATEGORY, ((0,), (0, 1)))]
+    for law in builtin_laws().values():
+        if not isinstance(law, MixedLaw):
+            ni = algebra_to_noiter(monoidal_to_algebra(law))
+            cases.append((ni.op, kleisli(ni.P), ((0,), (0, 1))))
+    cases.append((lambda f: powerset.ext(f), BASE_CATEGORY, ((), ())))
+    assert len(cases) == 4
+    for op, amb, arrows in cases:
+        assert generator_valued_arrows(op, amb) == arrows
+        assert generator_valued_arrows(cache(op), amb) == arrows
 
 
 def _tabulated_t_law() -> DistLaw:

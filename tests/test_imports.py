@@ -17,9 +17,9 @@ callers of ``NatTrans``, and only ``transforms`` and ``functors`` use
 built.  Only ``per_member`` gives a family its ``linear`` marks and
 only ``derived`` computes one; only ``pasting/evaluate.py`` builds the
 join generators a cell is checked on.  Likewise only ``extension`` records
-which unions an extension operator preserves (``Extension``), which
-``kleisli`` passes on to its composition, the one ``Category`` with such
-a record; only ``monads.generator_valued_arrows`` reads the records to
+which unions an extension operator preserves (``Extension``), and no
+``Category`` keeps such a record; only ``monads.generator_valued_arrows``
+reads the records, off the operator and the ambient lift it is given, to
 decide which arrows of the operator equations range over generator-valued
 maps, and only the shared equations ``extension_unit`` and
 ``extension_composition`` ask it, for ``check_monad_extensive`` and
@@ -162,18 +162,15 @@ def test_only_extension_records_which_unions_an_operator_preserves():
                     places.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None),
                                 node.arg))
     assert set(_calls("Extension")) == {("transforms.py", "extension")}
-    assert places == {(module, where, record) for module, where in
-                      (("transforms.py", "extension"), ("monads.py", "kleisli"))
-                      for record in ("linear_in_values", "joins")} | {
-                          ("monads.py", None, "linear_in_values")}
-    # the base category (a module-level assignment), whose composition takes
-    # its values from its first argument, and the Kleisli categories
+    assert places == {("transforms.py", "extension", record)
+                      for record in ("linear_in_values", "joins")}
+    # the base category (a module-level assignment) and the Kleisli
+    # categories, neither with a record
     assert set(_calls("Category")) == {("monads.py", None), ("monads.py", "kleisli")}
 
 
 def test_one_function_decides_the_generator_valued_arrows_of_the_operator_equations():
-    # the records are read where they are passed on (kleisli) and where the
-    # reduction is decided, nowhere else
+    # the records are read where the reduction is decided, nowhere else
     reads = set()
     for path in sorted(SRC.rglob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
@@ -181,7 +178,7 @@ def test_one_function_decides_the_generator_valued_arrows_of_the_operator_equati
                 if (isinstance(node, ast.Attribute) and node.attr in ("linear_in_values", "joins")
                         and isinstance(node.ctx, ast.Load)):
                     reads.add((path.relative_to(SRC).as_posix(), getattr(top, "name", None)))
-    assert reads == {("monads.py", "generator_valued_arrows"), ("monads.py", "kleisli")}
+    assert reads == {("monads.py", "generator_valued_arrows")}
     shared = {("monads.py", "extension_unit"), ("monads.py", "extension_composition")}
     assert set(_calls("generator_valued_arrows")) == shared
     keywords = set()
