@@ -15,6 +15,7 @@ import json
 import sys
 import time
 import traceback
+from functools import cache
 
 from .distlaw import (
     MixedLaw,
@@ -156,6 +157,7 @@ def _emit(payload: dict, summaries: list[str]) -> None:
         print(line, file=sys.stderr)
 
 
+@cache  # one parser per process: a build takes milliseconds, a share of a small check
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decagon",
@@ -428,9 +430,8 @@ _RUNNERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.monotonic()

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..elements import FinFn, FinSet, Subset
 from ..functors import (Const, FunctorExpr, Id, OversizeCarrier, apply_obj, compose_functors,
@@ -299,20 +299,20 @@ def _evaluate(cell: CellGen, interp: Interpretation, universe: TestUniverse,
     return compare(f"cell:{cell.name}", cell_instances())
 
 
-def check_cells(
-    law: str,
-    cells: dict[str, str],
-    interp: Interpretation,
-    universe: TestUniverse,
-    sig: Signature,
-) -> LawReport:
+def check_cells(law: str, cells: dict[str, str], interp: Interpretation,
+                universe: TestUniverse, sig: Signature) -> LawReport:
     """Evaluate the named cells of ``sig`` under ``interp``; each verdict is
     reported under its key in ``cells``."""
-    report = LawReport(law, universe.describe())
+    return LawReport(law, universe.describe(), list(cell_verdicts(cells, interp, universe, sig)))
+
+
+def cell_verdicts(cells: dict[str, str], interp: Interpretation, universe: TestUniverse,
+                  sig: Signature) -> Iterator[AxiomVerdict]:
+    """The verdicts of ``check_cells``, in table order, each cell evaluated
+    when its verdict is read: a reader that stops at a witness leaves the
+    cells after it unevaluated."""
     for axiom, name in cells.items():
-        report.verdicts.append(replace(evaluate_cell(sig.cells[name], interp, universe),
-                                       axiom=axiom))
-    return report
+        yield replace(evaluate_cell(sig.cells[name], interp, universe), axiom=axiom)
 
 
 def check_axiom_degenerate(

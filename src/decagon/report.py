@@ -348,7 +348,7 @@ class LawReport:
     @property
     def no_counterexample(self) -> bool:
         """No witness found; axioms with only oversize instances do not
-        veto.  This is the filter predicate for candidate search."""
+        veto.  Candidate search keeps a candidate on the same predicate."""
         return all(v.witness is None for v in self.verdicts)
 
     def verdict(self, axiom: str) -> AxiomVerdict:

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
-from .distlaw import DistLaw, DistLawAlgebra, check_algebra, check_beck, check_decagon
+from .distlaw import ALGEBRA_CELLS, BECK_CELLS, DECAGON_CELLS, DistLaw, DistLawAlgebra
 from .elements import FinFn
 from .functors import apply_mor, apply_obj, compose_functors
 from .monads import MonadMonoidal
+from .pasting.builtin import builtin_signature
+from .pasting.evaluate import Interpretation, cell_verdicts, law_interpretation
 from .report import LawReport, TestUniverse
 from .transforms import check_naturality, tabulated
 
@@ -134,23 +136,19 @@ def _natural_candidates(spec: SearchSpec) -> list:
                                            for _, v in nt.component(X).pairs])
 
 
-def _axiom_systems(spec: SearchSpec) -> list[tuple[str, callable]]:
-    def beck(nt):
-        return check_beck(DistLaw("candidate", spec.T, spec.P, nt), spec.universe)
+_SYSTEMS = {"monoidal": {"beck": BECK_CELLS}, "decagon": {"decagon": DECAGON_CELLS},
+            "algebra": {"algebra": ALGEBRA_CELLS}}
 
-    def deca(nt):
-        return check_decagon(DistLaw("candidate", spec.T, spec.P, nt), spec.universe)
 
-    def alg(nt):
-        return check_algebra(DistLawAlgebra("candidate", spec.T, spec.P, nt), spec.universe)
+def _axiom_systems(spec: SearchSpec) -> dict[str, dict[str, str]]:
+    """The form's axiom systems, each name mapped to its table of cells."""
+    return _SYSTEMS.get(spec.form, {"beck": BECK_CELLS, "decagon": DECAGON_CELLS})
 
-    if spec.form == "monoidal":
-        return [("beck", beck)]
-    if spec.form == "decagon":
-        return [("decagon", deca)]
-    if spec.form == "algebra":
-        return [("algebra", alg)]
-    return [("beck", beck), ("decagon", deca)]
+
+def _interpretation(spec: SearchSpec, candidate) -> Interpretation:
+    """The one interpretation every axiom system reads a candidate under."""
+    law = DistLawAlgebra if spec.form == "algebra" else DistLaw
+    return law_interpretation(law("candidate", spec.T, spec.P, candidate))
 
 
 def enumerate_candidates(spec: SearchSpec) -> SearchResult:
@@ -158,12 +156,19 @@ def enumerate_candidates(spec: SearchSpec) -> SearchResult:
 
     With form "all" the monoidal and decagon systems are both applied and
     their survivor sets compared in ``forms_agree``, since their agreement
-    is the cross-validation the search exists for.
+    is the cross-validation the search exists for.  Every system reads one
+    interpretation per candidate, whose verdict memo answers the cells they
+    share, and reads its cells only up to the first witness.
     """
     raw = raw_count(spec)  # builds every carrier, so one over the cap refuses at once
     natural = _natural_candidates(spec)
-    survivors = {name: [c for c in natural if check(c).no_counterexample]
-                 for name, check in _axiom_systems(spec)}
+    systems, sig = _axiom_systems(spec), builtin_signature()
+    survivors = {name: [] for name in systems}
+    for c in natural:
+        interp = _interpretation(spec, c)
+        for name, cells in systems.items():
+            if all(v.witness is None for v in cell_verdicts(cells, interp, spec.universe, sig)):
+                survivors[name].append(c)
     first, *others = survivors.values()
     return SearchResult(
         spec_desc=f"T={spec.T.name} P={spec.P.name} form={spec.form} {spec.universe.describe()}",
@@ -190,9 +195,10 @@ def refute(candidate, spec: SearchSpec) -> LawReport:
             f"candidate boundaries {candidate.src!r} -> {candidate.tgt!r} do not match "
             f"{src!r} -> {tgt!r}"
         )
-    report = _axiom_systems(spec)[0][1](candidate)
+    cells = next(iter(_axiom_systems(spec).values()))
     out = LawReport(f"refute[{spec.form}]", spec.universe.describe())
-    for v in report.verdicts:
+    for v in cell_verdicts(cells, _interpretation(spec, candidate), spec.universe,
+                           builtin_signature()):
         out.verdicts.append(v)
         if not v.passed:
             break

@@ -60,6 +60,27 @@ def test_seed_flag_is_a_usage_error(capsys):
                 "--seed", "7"]) == 2
 
 
+def test_one_parser_serves_every_run_of_a_process(capsys):
+    # a usage error, --help and two commands give, run one after another in
+    # one process, the exit codes and bytes each gives when it runs first
+    argvs = [("check-law", "--law", "exception-over-powerset", "--seed", "7"), ("--help",),
+             ("check-monad", "--monad", "identity", "--max-size", "1"),
+             ("search", "--monad", "exception", "--monad", "identity", "--max-size", "1")]
+
+    def outcome(argv):
+        code = run(list(argv))
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = {}
+    for argv in argvs:
+        cli.make_parser.cache_clear()
+        first[argv] = outcome(argv)
+    assert [first[argv][0] for argv in argvs] == [2, 0, 0, 0]
+    assert [outcome(argv) for argv in argvs] == [first[argv] for argv in argvs]
+    assert cli.make_parser() is cli.make_parser()
+
+
 def test_unknown_flag_rejected():
     code, _, err = invoke(["check-law", "--law", "x", "--nonsense"])
     assert code == 2

@@ -2,9 +2,17 @@ from itertools import product
 
 import pytest
 
-from decagon import search
-from decagon.distlaw import exception_over_powerset
-from decagon.elements import FinFn, atoms, iter_functions
+from decagon import cli, search
+from decagon.distlaw import (
+    DistLaw,
+    DistLawAlgebra,
+    check_algebra,
+    check_beck,
+    check_decagon,
+    exception_over_powerset,
+    writer_over_powerset,
+)
+from decagon.elements import Atom, FinFn, Pair, atoms, iter_functions, subset
 from decagon.functors import apply_obj, compose_functors
 from decagon.monads import (
     TestUniverse,
@@ -21,7 +29,8 @@ from decagon.search import (
     raw_count,
     refute,
 )
-from decagon.transforms import check_naturality, tabulated
+from decagon.pasting import evaluate
+from decagon.transforms import check_naturality, formula, tabulated
 
 
 def reference_natural(spec):
@@ -34,6 +43,19 @@ def reference_natural(spec):
     candidates = (tabulated(src, tgt, dict(zip(objects, combo)), name="candidate")
                   for combo in product(*pools))
     return [c for c in candidates if check_naturality(c, morphisms) is None]
+
+
+def reference_systems(spec):
+    """Each axiom system of the form, by name, as a whole run of its public
+    checker: a reference that reads neither the search's cell tables nor
+    its first-witness filter."""
+    def law(check, kind):
+        return lambda c: check(kind("candidate", spec.T, spec.P, c), spec.universe)
+
+    beck, decagon = law(check_beck, DistLaw), law(check_decagon, DistLaw)
+    return {"monoidal": {"beck": beck}, "decagon": {"decagon": decagon},
+            "algebra": {"algebra": law(check_algebra, DistLawAlgebra)},
+            "all": {"beck": beck, "decagon": decagon}}[spec.form]
 
 
 def tables(candidates, universe):
@@ -61,12 +83,58 @@ def test_generic_search_matches_per_candidate_reference(outer, inner, max_size, 
         tables(expected, spec.universe)
     res = enumerate_candidates(spec)
     assert res.natural == len(expected)
-    survivors = {}
-    for name, check in search._axiom_systems(spec):
-        survivors[name] = [c for c in expected if check(c).no_counterexample]
+    survivors = {name: [c for c in expected if check(c).no_counterexample]
+                 for name, check in reference_systems(spec).items()}
     assert res.per_axiom == {name: len(good) for name, good in survivors.items()}
     first = next(iter(survivors.values()))
     assert tables(res.survivors, spec.universe) == tables(first, spec.universe)
+
+
+@pytest.mark.parametrize("argv,evaluations", [
+    (("--monad", "maybe", "--monad", "exception", "--max-size", "2"), 17),
+    (("--monad", "exception", "--monad", "identity", "--max-size", "3"), 6),
+    (("--law", "writer-over-powerset", "--max-size", "2"), 23),
+    (("--law", "exception-over-powerset", "--max-size", "3"), 21),
+])
+def test_search_evaluates_each_candidates_cells_up_to_its_first_witness(
+        argv, evaluations, monkeypatch, capsys):
+    # one interpretation per candidate, read by every system, and no cell
+    # after a witness: two whole checker runs per candidate, each under its
+    # own interpretation, make 84, 14, 112 and 112 evaluations
+    evaluated = []
+    run_cell = evaluate._evaluate
+    monkeypatch.setattr(evaluate, "_evaluate",
+                        lambda cell, *rest: evaluated.append(cell) or run_cell(cell, *rest))
+    assert cli.run(["search", *argv]) == 0
+    assert len(evaluated) == evaluations
+
+
+def _logs_large_sets_as_unit(e):
+    """Writer over powerset: the strength, except that a nonunit log over
+    two or more members becomes the unit log.  The unit triangles see only
+    the unit log or singletons, and the m-pentagon holds, so the first
+    witness of each system sits in its last cell."""
+    log, members = e.fst, e.snd.members
+    if log.label != "1" and len(members) >= 2:
+        log = Atom("1")
+    return subset([Pair(log, x) for x in members])
+
+
+def test_a_candidate_refuted_only_by_its_last_cell_does_not_survive(monkeypatch):
+    law = writer_over_powerset()
+    universe = TestUniverse.sizes(1)
+    late = formula(law.lam.src, law.lam.tgt, _logs_large_sets_as_unit, "late")
+    for check, last in ((check_beck, "mu-pentagon"), (check_decagon, "decagon")):
+        *before, final = check(DistLaw("late", law.T, law.P, late), universe).verdicts
+        assert all(v.witness is None for v in before)
+        assert final.axiom == last and final.witness is not None
+    monkeypatch.setattr(search, "_natural_candidates", lambda spec: [late, law.lam])
+    res = enumerate_candidates(SearchSpec(law.T, law.P, form="all", universe=universe))
+    assert res.per_axiom == {"beck": 1, "decagon": 1} and res.forms_agree
+    assert len(res.survivors) == 1 and res.survivors[0] is law.lam
+    for form, last in (("monoidal", "mu-pentagon"), ("decagon", "decagon")):
+        report = refute(late, SearchSpec(law.T, law.P, form=form, universe=universe))
+        assert report.verdicts[-1].axiom == last and not report.no_counterexample
 
 
 def test_exception_over_identity_unique_survivor():
@@ -141,6 +209,11 @@ def test_refute_registered_law_full_pass():
     spec = SearchSpec(law.T, law.P, form="monoidal", universe=TestUniverse.sizes(1))
     report = refute(law.lam, spec)
     assert report.no_counterexample
+    assert [v.as_dict() for v in report.verdicts] == [
+        {"axiom": a, "passed": True, "checked": 2, "skipped": 0} for a in
+        ("unit-u-triangle", "unit-eta-triangle", "m-pentagon")] + [
+        {"axiom": "mu-pentagon", "passed": True, "checked": 2, "skipped": 0,
+         "reduction": "join-generators"}]
 
 
 def test_refute_constant_empty_candidate():
@@ -161,6 +234,9 @@ def test_refute_constant_empty_candidate():
     assert first_failing.witness is not None
     # smallest failing object is the smallest nonempty carrier
     assert "1" in first_failing.witness.at
+    assert [v.as_dict() for v in report.verdicts] == [
+        {"axiom": "unit-u-triangle", "passed": False, "checked": 2, "skipped": 0,
+         "witness": {"at": "|X|=1", "element": "{a}", "lhs": "{}", "rhs": "{inl(a)}"}}]
 
 
 def test_refute_identity_candidate_identity_monads():
@@ -172,6 +248,9 @@ def test_refute_identity_candidate_identity_monads():
     tables = {X: FinFn(X, X, lambda e: e) for X in universe.objects}
     report = refute(tabulated(Id(), Id(), tables, name="id"), spec)
     assert report.no_counterexample
+    assert [v.as_dict() for v in report.verdicts] == [
+        {"axiom": a, "passed": True, "checked": 2, "skipped": 0} for a in
+        ("unit-u-triangle", "unit-eta-triangle", "m-pentagon", "mu-pentagon")]
 
 
 def test_refute_rejects_wrong_boundaries():
